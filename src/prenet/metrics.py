@@ -61,7 +61,11 @@ def auc_pr(scores, labels) -> float:
     """Average precision over the anomaly class.
 
     Every distinct score is one threshold; the area accumulates
-    (recall increment) * (precision at threshold) with no interpolation.
+    (true-positive increment) * (precision at threshold) with no
+    interpolation and is divided by the anomaly count once at the end.
+    Each term is at most its integer increment, so the sum never exceeds
+    the anomaly count: the result lies in [0, 1], and a perfect ranking
+    gives exactly 1.0.
     """
     scores, labels = _validate(scores, labels, need_normals=False)
     order = np.argsort(-scores, kind="stable")
@@ -73,9 +77,9 @@ def auc_pr(scores, labels) -> float:
     ap = 0.0
     prev_tp = 0
     for tp, total in zip(tp_at.tolist(), n_at.tolist()):
-        ap += (tp - prev_tp) / n_pos * (tp / total)
+        ap += (tp - prev_tp) * (tp / total)
         prev_tp = tp
-    return ap
+    return ap / n_pos
 
 
 @dataclass

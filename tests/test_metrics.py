@@ -34,9 +34,9 @@ def brute_force_auc_pr(scores, labels):
     for t in thresholds:
         tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
         kept = sum(1 for s in scores if s >= t)
-        ap += (tp - prev_tp) / n_pos * (tp / kept)
+        ap += (tp - prev_tp) * (tp / kept)
         prev_tp = tp
-    return ap
+    return ap / n_pos
 
 
 def random_instance(rng, allow_all_pos=False):
@@ -100,6 +100,14 @@ class TestAucRoc:
 class TestAucPr:
     def test_perfect_ranking(self):
         assert auc_pr([4.0, 3.0, 1.0, 0.5], [1, 1, 0, 0]) == 1.0
+
+    @pytest.mark.parametrize("n_pos", [1, 6, 9, 21, 27, 100])
+    def test_perfect_ranking_is_exactly_one(self, n_pos):
+        # summing n_pos terms of 1/n_pos drifts off 1.0 for these counts
+        scores = np.arange(n_pos + 5, 0, -1, dtype=float)
+        labels = [1] * n_pos + [0] * 5
+        assert auc_pr(scores, labels) == 1.0
+        assert auc_pr(np.ones(n_pos), [1] * n_pos) == 1.0
 
     def test_hand_example(self):
         # thresholds .9/.8/.7: precision 0, 1/2, 2/3 at recall 0, 1/2, 1 -> 7/12
