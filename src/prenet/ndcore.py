@@ -3,10 +3,18 @@ weight initialization, seeded RNG construction, and a finite-difference
 gradient oracle used to validate analytic gradients.
 
 All public operations work on 64-bit float arrays ("matrices" are 2-D,
-C-contiguous, row-major) and are bit-reproducible: the matrix product
-accumulates over the shared dimension in ascending order, so repeated
-runs and independent reimplementations with the same summation order
-agree exactly.
+C-contiguous, row-major) and are bit-reproducible.
+
+Matrix product contract: every output entry is
+``0.0 + a[i, 0]*b[0, j] + a[i, 1]*b[1, j] + ...``, one rounded product
+added at a time in ascending k. Two kernels implement it and the shape
+alone picks one: a loop over k for small shared dimensions or large
+outputs, and a chunked ``cumsum`` over the k-major product tensor for
+large shared dimensions with small outputs (the backward products of
+training). Both are byte-identical to a scalar triple loop, signed
+zeros included, so repeated runs and independent reimplementations
+with the same summation order agree exactly. Reductions of undefined
+order (``np.add.reduce``, ``einsum``, ``@``/BLAS) are not used.
 """
 
 from __future__ import annotations
@@ -36,13 +44,23 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
+# Above these bounds on k and below this bound on m*n, the cumsum kernel
+# beats the loop over k (2-vCPU x86-64, NumPy 2.4: 3.2x on the
+# 10x512 @ 512x20 backward product; a wash near m*n = 512).
+_CUMSUM_MIN_K = 32
+_CUMSUM_MAX_OUTPUT = 512
+# Elements per product chunk of the cumsum kernel: 128 KB of float64.
+_CHUNK_ELEMENTS = 16384
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with a fixed summation order.
 
-    Each output entry accumulates ``a[i, k] * b[k, j]`` for ascending k,
-    exactly matching a naive triple loop, so results are bit-identical
-    across runs and to the elementwise oracle. BLAS-backed products do
-    not guarantee this ordering and are deliberately not used.
+    Each output entry accumulates ``a[i, k] * b[k, j]`` onto 0.0 for
+    ascending k, exactly matching a naive triple loop, so results are
+    bit-identical across runs and to the elementwise oracle. BLAS-backed
+    products do not guarantee this ordering and are deliberately not
+    used. The kernel is chosen from the shapes only.
     """
     a = as_matrix(a, "left operand")
     b = as_matrix(b, "right operand")
@@ -51,12 +69,40 @@ def matmul(a, b) -> np.ndarray:
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ "
             f"{b.shape[0]}x{b.shape[1]}"
         )
+    if a.shape[1] >= _CUMSUM_MIN_K and a.shape[0] * b.shape[1] <= _CUMSUM_MAX_OUTPUT:
+        return _matmul_cumsum(a, b)
     out = np.zeros((a.shape[0], b.shape[1]))
     tmp = np.empty_like(out)
     for k in range(a.shape[1]):
         np.multiply(a[:, k, None], b[None, k, :], out=tmp)
         out += tmp
     return out
+
+
+def _matmul_cumsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending-k product via ``cumsum`` (``add.accumulate``, sequential
+    by definition) over chunks of the k-major product tensor.
+
+    Row 0 of each chunk holds the running total (zeros for the first
+    chunk, which reproduces ``0.0 + (-0.0) == +0.0``), rows 1.. the
+    products ``a[i, k] * b[k, j]`` of the chunk's k range; after the
+    cumsum the last row is the new running total.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    step = min(k, max(1, _CHUNK_ELEMENTS // (m * n) - 1))
+    buf = np.empty((step + 1, m, n))
+    buf[0] = 0.0
+    a_t = a.T
+    last = 0
+    for k0 in range(0, k, step):
+        if k0:
+            buf[0] = buf[last]
+        last = min(step, k - k0)
+        chunk = buf[: last + 1]
+        np.multiply(a_t[k0 : k0 + last, :, None], b[k0 : k0 + last, None, :], out=chunk[1:])
+        np.cumsum(chunk, axis=0, out=chunk)
+    return buf[last].copy()
 
 
 def relu(x) -> np.ndarray:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from prenet.errors import NumericError
-from prenet.ndcore import finite_diff_grad, glorot_uniform, make_rng, matmul, relu
+from prenet.ndcore import (
+    _CHUNK_ELEMENTS,
+    finite_diff_grad,
+    glorot_uniform,
+    make_rng,
+    matmul,
+    relu,
+)
 
 
 def naive_matmul(a, b):
@@ -65,6 +72,73 @@ class TestMatmul:
         a = rng.standard_normal((30, 40)) * 1e6
         b = rng.standard_normal((40, 10)) * 1e6
         assert np.all(np.isfinite(matmul(a, b)))
+
+
+def _operands(m, k, n, fill, seed):
+    rng = make_rng(seed)
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    # every product in a -0.0 output column or matrix is -0.0; the
+    # contract's leading 0.0 makes their sum +0.0
+    if fill == "neg_zero_columns":
+        a = np.abs(a)
+        b[:, ::2] = -0.0
+    elif fill == "all_neg_zero":
+        a[:] = -0.0
+        b = np.abs(b)
+    elif fill == "mixed_zeros":
+        a[rng.random(a.shape) < 0.4] = 0.0
+        a[rng.random(a.shape) < 0.4] = -0.0
+        b[rng.random(b.shape) < 0.4] = -0.0
+    elif fill == "huge_times_tiny":
+        a *= 1e300
+        b *= 1e-300
+    elif fill == "subnormal_products":
+        a *= 1e-300
+        b *= 1e-10
+    elif fill == "overflow_to_inf":
+        a = np.abs(a) * 1e300 + 1e300
+        b = np.abs(b) + 0.5
+    return a, b
+
+
+# chunk length of the cumsum kernel for a 10x20 output
+_STEP = _CHUNK_ELEMENTS // 200 - 1
+
+BYTE_EXACT_CASES = [
+    # (m, k, n, fill)
+    (10, 63, 20, "normal"),
+    (10, 64, 20, "normal"),
+    (10, 65, 20, "normal"),
+    (10, 512, 20, "normal"),
+    (20, 512, 1, "normal"),
+    (3, 1031, 5, "normal"),
+    (10, _STEP - 1, 20, "normal"),
+    (10, _STEP, 20, "normal"),
+    (10, _STEP + 1, 20, "normal"),
+    (10, 2 * _STEP, 20, "normal"),
+    (10, 2 * _STEP + 1, 20, "normal"),
+    (1, 512, 1, "normal"),
+    (1, 300, 17, "normal"),
+    (23, 300, 1, "normal"),
+    (20, 40, 20, "normal"),
+    (130, 40, 130, "normal"),
+    (10, 20, 20, "normal"),
+    (10, 130, 20, "neg_zero_columns"),
+    (4, 70, 3, "all_neg_zero"),
+    (4, 9, 3, "all_neg_zero"),
+    (8, 200, 6, "mixed_zeros"),
+    (8, 200, 6, "huge_times_tiny"),
+    (8, 200, 6, "subnormal_products"),
+    (8, 200, 6, "overflow_to_inf"),
+]
+
+
+@pytest.mark.parametrize("m,k,n,fill", BYTE_EXACT_CASES)
+def test_matmul_bytes_equal_triple_loop_oracle(m, k, n, fill):
+    """Byte comparison, unlike array_equal, tells -0.0 from +0.0."""
+    a, b = _operands(m, k, n, fill, seed=m * 7919 + k * 31 + n)
+    assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
 
 
 class TestRelu:
