@@ -157,6 +157,13 @@ def load_feature_csv(
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise SchemaError(
+            f"{path}: non-finite value {float(features[row, col])!r} in data row {row + 1}, "
+            f"column {feature_names[col]!r}"
+        )
     return features, (raw_labels if label_pos is not None else None), feature_names
 
 

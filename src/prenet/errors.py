@@ -17,5 +17,11 @@ class CapacityError(DataError):
     """A dataset lacks enough instances of a class for the requested setup."""
 
 
+class CheckpointError(DataError, ValueError):
+    """A checkpoint file is unreadable, incomplete or inconsistent. It is
+    also a ``ValueError``, so callers that treat a bad file as a bad
+    value keep working."""
+
+
 class NumericError(ArithmeticError):
     """A non-finite value appeared where finite numbers are required."""

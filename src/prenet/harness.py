@@ -163,6 +163,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateReport:
     generator via the seed ladder, so results are identical to the
     sequential path.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     ds = load_source(spec)
     seeds = [spec.base_seed + i for i in range(spec.n_runs)]
     reports: list[MetricsReport] = []

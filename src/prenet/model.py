@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import CheckpointError, NumericError
 from .ndcore import glorot_uniform, matmul, relu
 from .pairgen import InstanceBatch, OrdinalLabels, PairBatch, PairClass
 
@@ -462,11 +462,37 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Read a checkpoint; returns the model plus an extras dict with
-    ``mean``/``scale`` and ``anomaly_pool``/``unlabeled_pool`` when present."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a {_CHECKPOINT_FORMAT} file")
+    ``mean``/``scale`` and ``anomaly_pool``/``unlabeled_pool`` when present.
+
+    Raises :class:`CheckpointError` for a file that is not valid JSON,
+    lacks an entry, has another format or version, or holds arrays whose
+    shapes disagree with ``input_dim``/``hidden_dims``.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return _from_document(doc)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint has no {exc} entry") from None
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
+
+
+def _expect_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if a.shape != shape:
+        raise CheckpointError(f"{name} has shape {a.shape}, the config implies {shape}")
+    return a
+
+
+def _from_document(doc) -> tuple[Model, dict]:
+    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {_CHECKPOINT_FORMAT} file")
+    if doc.get("version") != _CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported version {doc.get('version')!r}, expected {_CHECKPOINT_VERSION}"
+        )
     cfg = ModelConfig(
         variant=doc["variant"],
         input_dim=doc["input_dim"],
@@ -474,18 +500,35 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         l2_lambda=doc["l2_lambda"],
         labels=OrdinalLabels(*doc["labels"]),
     )
+    dims = (cfg.input_dim, *cfg.hidden_dims)
     pd = doc["params"]
+    n_layers = len(cfg.hidden_dims)
+    if len(pd["hidden_weights"]) != n_layers or len(pd["hidden_biases"]) != n_layers:
+        raise CheckpointError(f"layer count differs from hidden_dims {cfg.hidden_dims}")
     params = PReNetParams(
-        [_decode_array(w) for w in pd["hidden_weights"]],
-        [_decode_array(b).ravel() for b in pd["hidden_biases"]],
-        _decode_array(pd["output_weights"]).ravel(),
+        [
+            _expect_shape(f"hidden weight {i}", _decode_array(w), (dims[i], dims[i + 1]))
+            for i, w in enumerate(pd["hidden_weights"])
+        ],
+        [
+            _expect_shape(f"hidden bias {i}", _decode_array(b), (dims[i + 1],))
+            for i, b in enumerate(pd["hidden_biases"])
+        ],
+        _expect_shape("output weights", _decode_array(pd["output_weights"]), (cfg.head_dim,)),
         float(pd["output_bias"]),
     )
+    if not params.all_finite():
+        raise CheckpointError("parameters contain NaN or Inf")
     extras: dict = {"mean": None, "scale": None, "anomaly_pool": None, "unlabeled_pool": None}
     if doc.get("standardization"):
-        extras["mean"] = _decode_array(doc["standardization"]["mean"]).ravel()
-        extras["scale"] = _decode_array(doc["standardization"]["scale"]).ravel()
+        for key in ("mean", "scale"):
+            extras[key] = _expect_shape(
+                f"standardization {key}",
+                _decode_array(doc["standardization"][key]),
+                (cfg.input_dim,),
+            )
     if doc.get("pools"):
-        extras["anomaly_pool"] = _decode_array(doc["pools"]["anomaly"])
-        extras["unlabeled_pool"] = _decode_array(doc["pools"]["unlabeled"])
+        for key, name in (("anomaly", "anomaly_pool"), ("unlabeled", "unlabeled_pool")):
+            pool = _decode_array(doc["pools"][key])
+            extras[name] = _expect_shape(f"{key} pool", pool, (len(pool), cfg.input_dim))
     return Model(cfg, params), extras

@@ -262,3 +262,88 @@ class TestHelpAndExitCodes:
         )
         assert proc.returncode == 0
         assert "0.0975" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A labeled CSV and a prenet checkpoint trained on it."""
+    d = tmp_path_factory.mktemp("trained")
+    data = make_data(d)
+    ckpt = d / "model.json"
+    assert main(["train", "--data", str(data), *FAST, "-o", str(ckpt)]) == 0
+    return data, ckpt
+
+
+def _score_with_checkpoint(edit):
+    """Row: score the data with a copy of the checkpoint text changed by ``edit``."""
+
+    def argv(tmp_path, data, ckpt):
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(ckpt.read_text()))
+        return ["score", "--checkpoint", str(bad), "--data", str(data),
+                "-o", str(tmp_path / "s.csv")]
+
+    return argv
+
+
+def _edit_document(edit):
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    return _score_with_checkpoint(apply)
+
+
+def _score_unlabeled(cell):
+    """Row: score a copy of the data without its label column, one cell replaced."""
+
+    def argv(tmp_path, data, ckpt):
+        lines = [",".join(line.split(",")[:-1]) for line in data.read_text().splitlines()]
+        cells = lines[5].split(",")
+        cells[1] = cell
+        lines[5] = ",".join(cells)
+        bare = tmp_path / "bare.csv"
+        bare.write_text("\n".join(lines) + "\n")
+        return ["score", "--checkpoint", str(ckpt), "--data", str(bare),
+                "-o", str(tmp_path / "s.csv")]
+
+    return argv
+
+
+def _set_output_shape(doc):
+    doc["params"]["output_weights"]["shape"] = [20, 2]
+
+
+MALFORMED_INPUTS = [
+    # (case, argv builder, expected exit code)
+    ("truncated_checkpoint", _score_with_checkpoint(lambda t: t[: len(t) // 2]), 3),
+    ("checkpoint_missing_output_bias",
+     _edit_document(lambda d: d["params"].pop("output_bias")), 3),
+    ("checkpoint_version_2", _edit_document(lambda d: d.update(version=2)), 3),
+    ("checkpoint_hidden_dims_disagree",
+     _edit_document(lambda d: d.update(hidden_dims=[19])), 3),
+    ("checkpoint_output_weights_reshaped", _edit_document(_set_output_shape), 3),
+    ("checkpoint_nan_parameter",
+     _edit_document(lambda d: d["params"].update(output_bias=float("nan"))), 3),
+    ("checkpoint_bad_base64",
+     _edit_document(lambda d: d["params"]["output_weights"].update(data="!!")), 3),
+    ("checkpoint_foreign_format", _edit_document(lambda d: d.update(format="other")), 3),
+    ("checkpoint_not_an_object", _score_with_checkpoint(lambda t: "[1, 2]"), 3),
+    ("unlabeled_nan_feature", _score_unlabeled("nan"), 3),
+    ("unlabeled_inf_feature", _score_unlabeled("-inf"), 3),
+    ("jobs_zero",
+     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST,
+                                   "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "case,argv,expected", MALFORMED_INPUTS, ids=[row[0] for row in MALFORMED_INPUTS]
+)
+def test_malformed_input_exit_code(case, argv, expected, trained, tmp_path, capsys):
+    data, ckpt = trained
+    assert main(argv(tmp_path, data, ckpt)) == expected
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "s.csv").exists()
