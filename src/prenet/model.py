@@ -465,19 +465,18 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     ``mean``/``scale`` and ``anomaly_pool``/``unlabeled_pool`` when present.
 
     Raises :class:`CheckpointError` for a file that is not valid JSON,
-    lacks an entry, has another format or version, or holds arrays whose
-    shapes disagree with ``input_dim``/``hidden_dims``.
+    lacks an entry, has another format or version, holds non-finite
+    parameters, or holds arrays whose shapes disagree with
+    ``input_dim``/``hidden_dims``.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return _from_document(doc)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: checkpoint has no {exc} entry") from None
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
+    with open(path) as fh:
+        try:
+            return _from_document(json.load(fh))
+        except KeyError as exc:
+            detail = f"no {exc} entry"
+        except (TypeError, ValueError) as exc:
+            detail = str(exc)
+    raise CheckpointError(f"{path}: malformed checkpoint: {detail}")
 
 
 def _expect_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

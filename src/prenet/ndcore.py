@@ -44,9 +44,10 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-# Above these bounds on k and below this bound on m*n, the cumsum kernel
-# beats the loop over k (2-vCPU x86-64, NumPy 2.4: 3.2x on the
-# 10x512 @ 512x20 backward product; a wash near m*n = 512).
+# matmul uses the cumsum kernel when k >= _CUMSUM_MIN_K and
+# m*n <= _CUMSUM_MAX_OUTPUT, where it beats the loop over k (2-vCPU
+# x86-64 VM, NumPy 2.4: 3.2x on the 10x512 @ 512x20 backward product;
+# even at k = 32 with m*n = 500, and slower beyond m*n of about 600).
 _CUMSUM_MIN_K = 32
 _CUMSUM_MAX_OUTPUT = 512
 # Elements per product chunk of the cumsum kernel: 128 KB of float64.
@@ -90,7 +91,7 @@ def _matmul_cumsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     m, k = a.shape
     n = b.shape[1]
-    step = min(k, max(1, _CHUNK_ELEMENTS // (m * n) - 1))
+    step = min(k, _CHUNK_ELEMENTS // (m * n) - 1)
     buf = np.empty((step + 1, m, n))
     buf[0] = 0.0
     a_t = a.T

@@ -97,7 +97,7 @@ def _operands(m, k, n, fill, seed):
         a *= 1e-300
         b *= 1e-10
     elif fill == "overflow_to_inf":
-        a = np.abs(a) * 1e300 + 1e300
+        a = np.abs(a) * 1e306 + 1e306
         b = np.abs(b) + 0.5
     return a, b
 
@@ -122,7 +122,7 @@ BYTE_EXACT_CASES = [
     (1, 300, 17, "normal"),
     (23, 300, 1, "normal"),
     (20, 40, 20, "normal"),
-    (130, 40, 130, "normal"),
+    (130, 40, 130, "normal"),  # m*n beyond the chunk budget
     (10, 20, 20, "normal"),
     (10, 130, 20, "neg_zero_columns"),
     (4, 70, 3, "all_neg_zero"),
@@ -138,7 +138,8 @@ BYTE_EXACT_CASES = [
 def test_matmul_bytes_equal_triple_loop_oracle(m, k, n, fill):
     """Byte comparison, unlike array_equal, tells -0.0 from +0.0."""
     a, b = _operands(m, k, n, fill, seed=m * 7919 + k * 31 + n)
-    assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+    with np.errstate(over="ignore"):
+        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
 
 
 class TestRelu:
