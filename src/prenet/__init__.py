@@ -18,7 +18,6 @@ from .engine import (
     TrainConfig,
     TrainReport,
     score_dataset,
-    score_instance,
     train,
 )
 from .harness import (

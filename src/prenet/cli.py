@@ -14,12 +14,10 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .dataset import (
-    WeakSupervisionSplit,
     apply_standardization,
+    binary_labels,
     build_weak_supervision,
     load_csv,
     load_feature_csv,
@@ -220,10 +218,7 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     model, extras = load_checkpoint(args.checkpoint)
     features, raw_labels, _ = load_feature_csv(args.data, args.label_column)
-    labels = None
-    if raw_labels is not None:
-        ds = load_csv(args.data, args.label_column, args.anomaly_value)
-        features, labels = ds.features, ds.labels
+    labels = None if raw_labels is None else binary_labels(raw_labels, args.anomaly_value)
     if features.shape[1] != model.config.input_dim:
         raise DataError(
             f"{args.data} has {features.shape[1]} features, checkpoint expects "
@@ -238,18 +233,10 @@ def cmd_score(args) -> int:
             raise DataError(
                 f"{args.checkpoint} carries no partner pools; cannot score pairs"
             )
-        store = np.concatenate([a_pool, u_pool])
-        split = WeakSupervisionSplit(
-            features=store,
-            true_labels=np.concatenate(
-                [np.ones(len(a_pool), dtype=np.int64), np.zeros(len(u_pool), dtype=np.int64)]
-            ),
-            labeled_idx=np.arange(len(a_pool)),
-            unlabeled_idx=np.arange(len(a_pool), len(store)),
-            contamination_rate=0.0,
+        a_pos, u_pos = draw_partner_indices(
+            len(a_pool), len(u_pool), features.shape[0], args.ensemble_size, rng
         )
-        a_pos, u_pos = draw_partner_indices(split, features.shape[0], args.ensemble_size, rng)
-        scores = score_with_partners(model, features, split, a_pos, u_pos)
+        scores = score_with_partners(model, features, a_pool, u_pool, a_pos, u_pos)
     else:
         scores = forward_singles(model, features)
     write_scores_csv(args.output, scores, labels)

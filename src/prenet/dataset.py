@@ -170,16 +170,22 @@ def load_feature_csv(
 def load_csv(
     path, label_column: str | int = "label", anomaly_value: str | None = None
 ) -> LabeledDataset:
-    """Load a labeled CSV into a :class:`LabeledDataset`.
-
-    Without ``anomaly_value`` the label column must hold only values
-    numerically equal to 0 or 1. With it, rows whose label cell equals
-    ``anomaly_value`` become anomalies and the rest normals; more than
-    two distinct label values is rejected either way.
-    """
+    """Load a labeled CSV into a :class:`LabeledDataset`; the label
+    column is mapped by :func:`binary_labels`."""
     features, raw_labels, feature_names = load_feature_csv(path, label_column)
     if raw_labels is None:
         raise SchemaError(f"label column {label_column!r} not found in {path}")
+    return LabeledDataset(features, binary_labels(raw_labels, anomaly_value), feature_names)
+
+
+def binary_labels(raw_labels: Sequence[str], anomaly_value: str | None = None) -> np.ndarray:
+    """Map the raw cells of a label column to 1 (anomaly) / 0 (normal).
+
+    Without ``anomaly_value`` the column must hold only values
+    numerically equal to 0 or 1. With it, cells equal to
+    ``anomaly_value`` become anomalies and the rest normals; more than
+    two distinct label values is rejected either way.
+    """
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:
         raise SchemaError(
@@ -192,23 +198,21 @@ def load_csv(
                 f"anomaly value {anomaly_value!r} not present in label column "
                 f"(found {distinct})"
             )
-        labels = np.asarray([1 if v == anomaly_value else 0 for v in raw_labels])
-    else:
-        mapped = {}
-        for v in distinct:
-            try:
-                num = float(v)
-            except ValueError:
-                raise SchemaError(
-                    f"label value {v!r} is not 0/1; pass an explicit anomaly value"
-                ) from None
-            if num not in (0.0, 1.0):
-                raise SchemaError(
-                    f"label value {v!r} is not 0/1; pass an explicit anomaly value"
-                )
-            mapped[v] = int(num)
-        labels = np.asarray([mapped[v] for v in raw_labels])
-    return LabeledDataset(features, labels, feature_names)
+        return np.asarray([1 if v == anomaly_value else 0 for v in raw_labels])
+    mapped = {}
+    for v in distinct:
+        try:
+            num = float(v)
+        except ValueError:
+            raise SchemaError(
+                f"label value {v!r} is not 0/1; pass an explicit anomaly value"
+            ) from None
+        if num not in (0.0, 1.0):
+            raise SchemaError(
+                f"label value {v!r} is not 0/1; pass an explicit anomaly value"
+            )
+        mapped[v] = int(num)
+    return np.asarray([mapped[v] for v in raw_labels])
 
 
 def save_csv(ds: LabeledDataset, path, label_column: str = "label") -> None:

@@ -2,9 +2,23 @@
 
 Training repeats (sample stratified batch, objective + gradients,
 RMSprop step) for a fixed schedule. Scoring pairs each instance with
-randomly drawn partners from A and U and averages the pair scores; the
-instance sits on the right of anomaly partners and on the left of
-unlabeled partners.
+randomly drawn partners from the anomaly pool A and the unlabeled pool
+U and averages the pair scores; the instance sits on the right of
+anomaly partners and on the left of unlabeled partners.
+
+Scoring is factored. The head is linear in the concatenated features,
+so a pair score is ``c_l(left) + c_r(right) + b`` with
+``c_l = f(.)·w_l`` and ``c_r = f(.)·w_r``. The shared stack f runs
+once on the stacked rows ``[x; A rows; U rows]``, one head product
+gives both columns ``c_l`` and ``c_r``, and the pair scores are
+gathered from them. For n instances and ensemble size E, each pool
+contributes all of its rows when it has at most n·E rows, and only its
+n·E drawn rows otherwise; the choice follows from shapes alone. So at
+most ``n + min(|A|, n·E) + min(|U|, n·E)`` rows go through the stack,
+instead of ``4·n·E``. Every matmul output entry is computed on its own
+in ascending k, and the elementwise steps are per row, so the scores
+are byte-identical to scoring each pair with
+:func:`prenet.model.forward_pairs`.
 """
 
 from __future__ import annotations
@@ -22,12 +36,12 @@ from .model import (
     ModelConfig,
     OptimizerState,
     build_variant,
-    forward_pairs,
+    features,
     forward_singles,
     objective_and_gradients,
     rmsprop_step,
 )
-from .ndcore import make_rng
+from .ndcore import make_rng, matmul
 from .pairgen import sample_instance_batch, sample_pair_batch
 
 
@@ -117,43 +131,64 @@ def train(
 
 
 def draw_partner_indices(
-    split: WeakSupervisionSplit, n_rows: int, ensemble_size: int, rng: np.random.Generator
+    n_anomaly: int,
+    n_unlabeled: int,
+    n_rows: int,
+    ensemble_size: int,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw scoring partners for n_rows instances, in row order.
 
-    Returns positions into A and U (each ``n_rows x ensemble_size``),
-    uniform with replacement. Pre-drawing makes per-row scores
-    independent of evaluation order, so rows may be scored in parallel
-    or in any order once the draw is fixed.
+    Returns positions into the anomaly and unlabeled pools (each
+    ``n_rows x ensemble_size``), uniform with replacement. Pre-drawing
+    makes per-row scores independent of evaluation order, so rows may
+    be scored in parallel or in any order once the draw is fixed.
     """
-    if split.n_labeled < 1 or split.n_unlabeled < 1:
+    if n_anomaly < 1 or n_unlabeled < 1:
         raise ValueError("both A and U must be nonempty for scoring")
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    a_pos = rng.integers(0, split.n_labeled, size=(n_rows, ensemble_size))
-    u_pos = rng.integers(0, split.n_unlabeled, size=(n_rows, ensemble_size))
+    a_pos = rng.integers(0, n_anomaly, size=(n_rows, ensemble_size))
+    u_pos = rng.integers(0, n_unlabeled, size=(n_rows, ensemble_size))
     return a_pos, u_pos
+
+
+def _stack_rows(pool: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``pool`` to run through the stack, and the position of
+    each draw among them: the whole pool unless it has more rows than
+    there are draws, in which case only the drawn rows."""
+    if len(pool) <= pos.size:
+        return pool, pos
+    return pool[pos.ravel()], np.arange(pos.size).reshape(pos.shape)
 
 
 def score_with_partners(
     model: Model,
     x: np.ndarray,
-    split: WeakSupervisionSplit,
+    anomaly_pool: np.ndarray,
+    unlabeled_pool: np.ndarray,
     a_pos: np.ndarray,
     u_pos: np.ndarray,
 ) -> np.ndarray:
-    """Ensemble scores of the rows of ``x`` with fixed partner draws."""
+    """Ensemble scores of the rows of ``x`` with fixed partner draws:
+    ``a_pos``/``u_pos`` index the rows of ``anomaly_pool``/``unlabeled_pool``."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not model.config.is_pairwise:
         return forward_singles(model, x)
     n, e = a_pos.shape
-    if x.shape[0] != n:
-        raise ValueError(f"{n} partner rows for {x.shape[0]} instances")
-    anchors = np.repeat(x, e, axis=0)
-    a_partners = split.features[split.labeled_idx[a_pos.ravel()]]
-    u_partners = split.features[split.unlabeled_idx[u_pos.ravel()]]
-    s_a = forward_pairs(model, a_partners, anchors).reshape(n, e)
-    s_u = forward_pairs(model, anchors, u_partners).reshape(n, e)
+    if x.shape[0] != n or u_pos.shape != a_pos.shape:
+        raise ValueError(
+            f"partner draws of shapes {a_pos.shape} and {u_pos.shape} "
+            f"for {x.shape[0]} instances"
+        )
+    p = model.params
+    a_rows, a_at = _stack_rows(anomaly_pool, a_pos)
+    u_rows, u_at = _stack_rows(unlabeled_pool, u_pos)
+    z = features(p, np.concatenate([x, a_rows, u_rows]))
+    head = matmul(z, p.output_weights.reshape(2, model.config.feature_dim).T)
+    c_l, c_r = head[:, 0], head[:, 1]
+    s_a = (c_l[n:][a_at] + c_r[:n, None]) + p.output_bias
+    s_u = (c_l[:n, None] + c_r[n + len(a_rows) :][u_at]) + p.output_bias
     return (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
 
 
@@ -164,7 +199,7 @@ def score_dataset(
     ensemble_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ensemble score per row of ``x``.
+    """Ensemble score per row of ``x``, with partners from the split's A and U.
 
     The one-stream variant evaluates each instance directly (its score
     is the mean of identical single-instance evaluations, so no partner
@@ -173,19 +208,10 @@ def score_dataset(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not model.config.is_pairwise:
         return forward_singles(model, x)
-    a_pos, u_pos = draw_partner_indices(split, x.shape[0], ensemble_size, rng)
-    return score_with_partners(model, x, split, a_pos, u_pos)
-
-
-def score_instance(
-    model: Model,
-    x: np.ndarray,
-    split: WeakSupervisionSplit,
-    ensemble_size: int,
-    rng: np.random.Generator,
-) -> float:
-    """Ensemble score of a single instance."""
-    return float(score_dataset(model, np.atleast_2d(x), split, ensemble_size, rng)[0])
+    a_pos, u_pos = draw_partner_indices(
+        split.n_labeled, split.n_unlabeled, x.shape[0], ensemble_size, rng
+    )
+    return score_with_partners(model, x, split.a_features, split.u_features, a_pos, u_pos)
 
 
 def write_scores_csv(path, scores: np.ndarray, true_labels: np.ndarray | None = None) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -92,7 +93,7 @@ class ExperimentSpec:
     def dataset_name(self) -> str:
         if isinstance(self.source, SyntheticSpec):
             return f"synthetic({self.source.n_normal}+{self.source.n_anomaly}d{self.source.dim})"
-        return str(self.source)
+        return Path(self.source).name
 
 
 def load_source(spec: ExperimentSpec) -> LabeledDataset:

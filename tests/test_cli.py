@@ -311,6 +311,20 @@ def _score_unlabeled(cell):
     return argv
 
 
+def _score_with_label(value):
+    """Row: score a copy of the labeled data with one label cell replaced."""
+
+    def argv(tmp_path, data, ckpt):
+        lines = data.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join(lines) + "\n")
+        return ["score", "--checkpoint", str(ckpt), "--data", str(edited),
+                "-o", str(tmp_path / "s.csv")]
+
+    return argv
+
+
 def _set_output_shape(doc):
     doc["params"]["output_weights"]["shape"] = [20, 2]
 
@@ -332,6 +346,7 @@ MALFORMED_INPUTS = [
     ("checkpoint_not_an_object", _score_with_checkpoint(lambda t: "[1, 2]"), 3),
     ("unlabeled_nan_feature", _score_unlabeled("nan"), 3),
     ("unlabeled_inf_feature", _score_unlabeled("-inf"), 3),
+    ("label_value_2", _score_with_label("2"), 3),
     ("jobs_zero",
      lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST,
                                    "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
+from prenet import engine
 from prenet.dataset import LabeledDataset, WeakSupervisionSplit, build_weak_supervision
 from prenet.engine import (
     TrainConfig,
     draw_partner_indices,
     read_scores_csv,
     score_dataset,
-    score_instance,
     score_with_partners,
     train,
     write_scores_csv,
 )
 from prenet.harness import SyntheticSpec, generate_synthetic
-from prenet.model import ModelConfig, build_variant, forward_pair, forward_singles, params_to_vector
+from prenet.model import (
+    ModelConfig,
+    build_variant,
+    forward_pair,
+    forward_pairs,
+    forward_singles,
+    params_to_vector,
+)
 from prenet.ndcore import make_rng
 
 
@@ -124,14 +131,14 @@ class TestScoring:
         u = tiny.features[tiny.unlabeled_idx[0]]
         expect = (forward_pair(model, a, x) + forward_pair(model, x, u)) / 2.0
         for seed in range(3):
-            got = score_instance(model, x, tiny, 1, make_rng(seed))
+            got = score_dataset(model, x[None, :], tiny, 1, make_rng(seed))[0]
             assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_single_row_matches_score_instance(self):
+    def test_single_row_vector_matches_matrix(self):
         split = small_split()
         model = build_variant(ModelConfig("prenet", 3), make_rng(5))
         x = make_rng(6).standard_normal(3)
-        s_one = score_instance(model, x, split, 8, make_rng(42))
+        s_one = score_dataset(model, x, split, 8, make_rng(42))[0]
         s_mat = score_dataset(model, x[None, :], split, 8, make_rng(42))
         assert s_mat.shape == (1,)
         assert s_one == s_mat[0]
@@ -145,7 +152,9 @@ class TestScoring:
         u_pos = np.array([[5]])
         a = split.features[split.labeled_idx[2]]
         u = split.features[split.unlabeled_idx[5]]
-        got = score_with_partners(model, x[None, :], split, a_pos, u_pos)[0]
+        got = score_with_partners(
+            model, x[None, :], split.a_features, split.u_features, a_pos, u_pos
+        )[0]
         expect = (forward_pair(model, a, x) + forward_pair(model, x, u)) / 2.0
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -153,10 +162,13 @@ class TestScoring:
         split = small_split()
         model = build_variant(ModelConfig("prenet", 3), make_rng(9))
         x = make_rng(10).standard_normal((12, 3))
-        a_pos, u_pos = draw_partner_indices(split, 12, 5, make_rng(11))
-        base = score_with_partners(model, x, split, a_pos, u_pos)
+        pools = split.a_features, split.u_features
+        a_pos, u_pos = draw_partner_indices(
+            split.n_labeled, split.n_unlabeled, 12, 5, make_rng(11)
+        )
+        base = score_with_partners(model, x, *pools, a_pos, u_pos)
         perm = make_rng(12).permutation(12)
-        permuted = score_with_partners(model, x[perm], split, a_pos[perm], u_pos[perm])
+        permuted = score_with_partners(model, x[perm], *pools, a_pos[perm], u_pos[perm])
         assert np.array_equal(permuted, base[perm])
 
     def test_variance_shrinks_with_ensemble_size(self):
@@ -166,7 +178,9 @@ class TestScoring:
         rng = make_rng(15)
         variances = {}
         for e in (1, 10, 100):
-            draws = np.array([score_instance(model, x, split, e, rng) for _ in range(300)])
+            draws = np.array(
+                [score_dataset(model, x[None, :], split, e, rng)[0] for _ in range(300)]
+            )
             variances[e] = draws.var()
         assert variances[10] < variances[1] / 4
         assert variances[100] < variances[10] / 4
@@ -188,12 +202,15 @@ class TestScoring:
         split = small_split()
         model, _ = train(split, tiny_cfg(seed=30))
         x = make_rng(31).standard_normal((9, 3))
-        a_pos, u_pos = draw_partner_indices(split, 9, 5, make_rng(32))
-        before = score_with_partners(model, x, split, a_pos, u_pos)
+        pools = split.a_features, split.u_features
+        a_pos, u_pos = draw_partner_indices(
+            split.n_labeled, split.n_unlabeled, 9, 5, make_rng(32)
+        )
+        before = score_with_partners(model, x, *pools, a_pos, u_pos)
         path = tmp_path / "ck.json"
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)
-        after = score_with_partners(loaded, x, split, a_pos, u_pos)
+        after = score_with_partners(loaded, x, *pools, a_pos, u_pos)
         assert np.array_equal(before, after)
 
     def test_both_streams_share_one_feature_stack(self):
@@ -228,7 +245,84 @@ class TestScoring:
         split = small_split()
         model = build_variant(ModelConfig("prenet", 3), make_rng(19))
         with pytest.raises(ValueError):
-            draw_partner_indices(split, 3, 0, make_rng(0))
+            draw_partner_indices(split.n_labeled, split.n_unlabeled, 3, 0, make_rng(0))
+        with pytest.raises(ValueError):
+            draw_partner_indices(0, split.n_unlabeled, 3, 4, make_rng(0))
+
+
+def unfactored_scores(model, x, anomaly_pool, unlabeled_pool, a_pos, u_pos):
+    """Reference: every pair scored on its own through forward_pairs,
+    each anchor repeated once per partner."""
+    n, e = a_pos.shape
+    anchors = np.repeat(x, e, axis=0)
+    s_a = forward_pairs(model, anomaly_pool[a_pos.ravel()], anchors).reshape(n, e)
+    s_u = forward_pairs(model, anchors, unlabeled_pool[u_pos.ravel()]).reshape(n, e)
+    return (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
+
+
+# variant, input_dim, n rows, ensemble size, |A|, |U|, feature values, output bias
+FACTORED_CASES = {
+    "prenet_pools_smaller_than_draw": ("prenet", 3, 20, 6, 5, 40, "normal", 0.0),
+    "prenet_pools_larger_than_draw": ("prenet", 3, 4, 3, 30, 200, "normal", 0.0),
+    "prenet_pools_either_side": ("prenet", 40, 10, 5, 12, 400, "normal", 1.5),
+    "bor_dim_40": ("bor", 40, 7, 4, 50, 50, "normal", -0.75),
+    "ldm_dim_3": ("ldm", 3, 9, 5, 20, 80, "normal", 2.0),
+    "ldm_dim_40": ("ldm", 40, 9, 5, 20, 80, "normal", 0.0),
+    "a2h_dim_3": ("a2h", 3, 6, 8, 10, 300, "normal", 0.5),
+    "a2h_dim_40": ("a2h", 40, 6, 8, 100, 30, "normal", 0.0),
+    "one_row": ("prenet", 3, 1, 30, 8, 300, "normal", 0.25),
+    "one_partner": ("a2h", 40, 12, 1, 3, 300, "normal", 0.0),
+    "one_row_one_partner": ("ldm", 40, 1, 1, 1, 1, "normal", -3.0),
+    "signed_zeros": ("ldm", 3, 8, 4, 6, 60, "negative_zero", 0.0),
+    "signed_zeros_hidden": ("prenet", 40, 8, 4, 60, 6, "negative_zero", 0.0),
+    "huge_values": ("prenet", 40, 5, 6, 10, 100, "huge", 1.0),
+    "tiny_values": ("ldm", 40, 5, 6, 100, 10, "tiny", 1.0),
+    "huge_values_deep": ("a2h", 3, 5, 6, 10, 100, "huge", 0.0),
+}
+
+
+def _factored_rows(rng, n_rows, dim, values):
+    x = rng.standard_normal((n_rows, dim))
+    if values == "negative_zero":
+        x[rng.random(x.shape) < 0.5] = -0.0
+        x[::2] = -0.0
+    elif values == "huge":
+        x *= 1e300
+    elif values == "tiny":
+        x *= 1e-300
+    return x
+
+
+@pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+def test_factored_scoring_bytes_equal_pairwise_reference(case):
+    variant, dim, n, e, n_a, n_u, values, bias = FACTORED_CASES[case]
+    rng = make_rng(sorted(FACTORED_CASES).index(case))
+    model = build_variant(ModelConfig(variant, dim), rng)
+    model.params.output_bias = bias
+    x, a_pool, u_pool = (_factored_rows(rng, rows, dim, values) for rows in (n, n_a, n_u))
+    a_pos, u_pos = draw_partner_indices(n_a, n_u, n, e, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
+        expect = unfactored_scores(model, x, a_pool, u_pool, a_pos, u_pos)
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n, e, n_a, n_u", [(8, 30, 5, 1650), (50, 4, 300, 150), (1, 1, 2, 2)])
+def test_factored_scoring_runs_each_distinct_row_once(monkeypatch, n, e, n_a, n_u):
+    rng = make_rng(50)
+    model = build_variant(ModelConfig("prenet", 3), rng)
+    x, a_pool, u_pool = (rng.standard_normal((rows, 3)) for rows in (n, n_a, n_u))
+    a_pos, u_pos = draw_partner_indices(n_a, n_u, n, e, rng)
+    rows = []
+    real_features = engine.features
+
+    def counting_features(params, batch):
+        rows.append(len(batch))
+        return real_features(params, batch)
+
+    monkeypatch.setattr(engine, "features", counting_features)
+    score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
+    assert sum(rows) <= n + min(n_a, n * e) + min(n_u, n * e)
 
 
 class TestScoresCsv:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ class TestReportJson:
         assert doc["auc_roc"]["mean"] == pytest.approx(
             np.mean(doc["auc_roc"]["runs"]), rel=1e-15
         )
+
+    def test_relative_and_absolute_source_give_identical_bytes(self, tmp_path, monkeypatch):
+        from prenet.dataset import save_csv
+
+        save_csv(generate_synthetic(SyntheticSpec(100, 40, 2, 5.0, seed=0)), tmp_path / "d.csv")
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for source in ("d.csv", str(tmp_path / "d.csv")):
+            spec = fast_spec(source=source, n_runs=1)
+            doc = experiment_report_json(spec, run_experiment(spec))
+            reports.append(json.dumps(doc, sort_keys=True, indent=1).encode())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["dataset"] == "d.csv"
 
 
 class TestSpecFile:
