@@ -42,13 +42,9 @@ from .model import (
     OptimizerState,
     PReNetParams,
     VARIANTS,
-    batch_gradients,
-    batch_objective,
     build_variant,
-    forward_pair,
-    forward_pairs,
+    forward,
     load_checkpoint,
-    pair_loss,
     rmsprop_step,
     save_checkpoint,
 )
@@ -63,7 +59,6 @@ from .pairgen import (
     mislabel_fraction,
     sample_instance_batch,
     sample_pair_batch,
-    training_pair_space_size,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

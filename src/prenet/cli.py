@@ -47,7 +47,7 @@ from .metrics import evaluate
 from .model import (
     VARIANTS,
     ModelConfig,
-    forward_singles,
+    forward,
     load_checkpoint,
     save_checkpoint,
 )
@@ -238,7 +238,7 @@ def cmd_score(args) -> int:
         )
         scores = score_with_partners(model, features, a_pool, u_pool, a_pos, u_pos)
     else:
-        scores = forward_singles(model, features)
+        scores = forward(model, (features,))[0]
     write_scores_csv(args.output, scores, labels)
     print(f"scored {features.shape[0]} rows -> {args.output}")
     return 0

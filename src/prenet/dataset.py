@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -99,11 +100,12 @@ class WeakSupervisionSplit:
     def n_unlabeled(self) -> int:
         return self.unlabeled_idx.size
 
-    @property
+    # Computed once: no code changes a split after it is built.
+    @cached_property
     def a_features(self) -> np.ndarray:
         return self.features[self.labeled_idx]
 
-    @property
+    @cached_property
     def u_features(self) -> np.ndarray:
         return self.features[self.unlabeled_idx]
 

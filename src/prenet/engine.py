@@ -18,12 +18,13 @@ most ``n + min(|A|, n·E) + min(|U|, n·E)`` rows go through the stack,
 instead of ``4·n·E``. Every matmul output entry is computed on its own
 in ascending k, and the elementwise steps are per row, so the scores
 are byte-identical to scoring each pair with
-:func:`prenet.model.forward_pairs`.
+:func:`prenet.model.forward`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,7 +38,8 @@ from .model import (
     OptimizerState,
     build_variant,
     features,
-    forward_singles,
+    forward,
+    head_matrix,
     objective_and_gradients,
     rmsprop_step,
 )
@@ -172,9 +174,9 @@ def score_with_partners(
 ) -> np.ndarray:
     """Ensemble scores of the rows of ``x`` with fixed partner draws:
     ``a_pos``/``u_pos`` index the rows of ``anomaly_pool``/``unlabeled_pool``."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not model.config.is_pairwise:
-        return forward_singles(model, x)
+        raise ValueError(f"variant {model.config.variant!r} does not score pairs")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, e = a_pos.shape
     if x.shape[0] != n or u_pos.shape != a_pos.shape:
         raise ValueError(
@@ -185,8 +187,7 @@ def score_with_partners(
     a_rows, a_at = _stack_rows(anomaly_pool, a_pos)
     u_rows, u_at = _stack_rows(unlabeled_pool, u_pos)
     z = features(p, np.concatenate([x, a_rows, u_rows]))
-    head = matmul(z, p.output_weights.reshape(2, model.config.feature_dim).T)
-    c_l, c_r = head[:, 0], head[:, 1]
+    c_l, c_r = matmul(z, head_matrix(model)).T
     s_a = (c_l[n:][a_at] + c_r[:n, None]) + p.output_bias
     s_u = (c_l[:n, None] + c_r[n + len(a_rows) :][u_at]) + p.output_bias
     return (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
@@ -207,7 +208,7 @@ def score_dataset(
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not model.config.is_pairwise:
-        return forward_singles(model, x)
+        return forward(model, (x,))[0]
     a_pos, u_pos = draw_partner_indices(
         split.n_labeled, split.n_unlabeled, x.shape[0], ensemble_size, rng
     )
@@ -229,7 +230,9 @@ def write_scores_csv(path, scores: np.ndarray, true_labels: np.ndarray | None = 
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read a scores CSV; returns (scores, labels or None)."""
+    """Read a scores CSV; returns (scores, labels or None). Raises
+    :class:`SchemaError` for a row without a finite score, or with a
+    true label other than 0 or 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -242,11 +245,16 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
             if not record:
                 continue
             try:
-                scores.append(float(record[1]))
-                if has_labels:
-                    labels.append(int(float(record[2])))
+                score = float(record[1])
+                label = float(record[2]) if has_labels else 0.0
+                ok = math.isfinite(score) and label in (0.0, 1.0)
             except (IndexError, ValueError):
+                ok = False
+            if not ok:
                 raise SchemaError(
-                    f"{path}: malformed scores row {row_no}: {record!r}"
-                ) from None
+                    f"{path}: malformed scores row {row_no} (a finite score and a "
+                    f"0/1 label expected): {record!r}"
+                )
+            scores.append(score)
+            labels.append(int(label))
     return np.asarray(scores), (np.asarray(labels) if has_labels else None)

@@ -155,46 +155,38 @@ def features(params: PReNetParams, x: np.ndarray) -> np.ndarray:
     return _forward_stack(params, x)[0][-1]
 
 
-def feature(params: PReNetParams, x: np.ndarray) -> np.ndarray:
-    """Feature vector of a single instance."""
-    return features(params, x)[0]
+def head_matrix(model: Model) -> np.ndarray:
+    """The linear head as a ``feature_dim x streams`` view of the output
+    weights: column s weighs stream s's features."""
+    return model.params.output_weights.reshape(-1, model.config.feature_dim).T
 
 
-def forward_pairs(model: Model, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Scores of a batch of ordered pairs: both members go through the
-    same shared stack; the head is linear in the concatenated features."""
-    if not model.config.is_pairwise:
-        raise ValueError(f"variant {model.config.variant!r} does not score pairs")
-    left = np.atleast_2d(np.asarray(left, dtype=np.float64))
-    right = np.atleast_2d(np.asarray(right, dtype=np.float64))
-    p = model.params
-    zl = features(p, left)
-    zr = features(p, right)
-    m = model.config.feature_dim
-    wl = p.output_weights[:m]
-    wr = p.output_weights[m:]
-    s = matmul(zl, wl[:, None]).ravel() + matmul(zr, wr[:, None]).ravel()
-    return s + p.output_bias
+def forward(
+    model: Model, streams: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, list[tuple[list[np.ndarray], list[np.ndarray]]]]:
+    """Scores of a batch given as one row array per stream: ``(left,
+    right)`` for the pairwise variants, ``(x,)`` for the one-stream one.
 
-
-def forward_pair(model: Model, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Score of one ordered pair."""
-    return float(forward_pairs(model, np.atleast_2d(x_i), np.atleast_2d(x_j))[0])
-
-
-def forward_singles(model: Model, x: np.ndarray) -> np.ndarray:
-    """Scores of single instances for the one-stream variant."""
-    if model.config.is_pairwise:
-        raise ValueError(f"variant {model.config.variant!r} scores pairs, not singles")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    p = model.params
-    z = features(p, x)
-    return matmul(z, p.output_weights[:, None]).ravel() + p.output_bias
-
-
-def pair_loss(score: float, target: float) -> float:
-    """Absolute prediction error; robust to occasional mislabeled pairs."""
-    return abs(target - score)
+    Every stream runs through the same shared stack; the score is
+    ``0.0 + f(stream 0)·w_0 + f(stream 1)·w_1 + b``, added in that order.
+    Returns the scores and, per stream, the stack's (activations incl.
+    input, preactivations).
+    """
+    head = head_matrix(model)
+    if len(streams) != head.shape[1]:
+        raise ValueError(
+            f"variant {model.config.variant!r} takes {head.shape[1]} stream(s), "
+            f"got {len(streams)}"
+        )
+    stack = [
+        _forward_stack(model.params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        for x in streams
+    ]
+    scores = np.zeros(stack[0][0][0].shape[0])
+    for s, (acts, _) in enumerate(stack):
+        scores += matmul(acts[-1], head[:, s : s + 1]).ravel()
+    scores += model.params.output_bias
+    return scores, stack
 
 
 def batch_targets(config: ModelConfig, batch: PairBatch | InstanceBatch) -> np.ndarray:
@@ -215,28 +207,13 @@ def _weight_square_sum(params: PReNetParams) -> float:
     return total
 
 
-def _batch_scores(model: Model, batch: PairBatch | InstanceBatch) -> np.ndarray:
-    if isinstance(batch, InstanceBatch):
-        return forward_singles(model, batch.x)
-    return forward_pairs(model, batch.left, batch.right)
-
-
-def batch_objective(model: Model, batch: PairBatch | InstanceBatch) -> float:
-    """Mean absolute error over the batch plus l2_lambda times the sum of
-    squared weights (biases excluded)."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    scores = _batch_scores(model, batch)
-    targets = batch_targets(model.config, batch)
-    mae = float(np.mean(np.abs(targets - scores)))
-    return mae + model.config.l2_lambda * _weight_square_sum(model.params)
-
-
 def objective_and_gradients(
     model: Model, batch: PairBatch | InstanceBatch
 ) -> tuple[float, PReNetParams]:
-    """One forward/backward pass; returns the objective value and exact
-    subgradients shaped like the parameters.
+    """One forward/backward pass over a batch. The objective is the mean
+    absolute error of the scores against :func:`batch_targets` plus
+    l2_lambda times the sum of squared weights (biases excluded).
+    Returns its value and exact subgradients shaped like the parameters.
 
     Subgradient conventions: d|r|/dr = 0 at r = 0 and relu' = 0 at 0.
     """
@@ -244,46 +221,24 @@ def objective_and_gradients(
         raise ValueError("empty batch")
     cfg = model.config
     p = model.params
-    targets = batch_targets(cfg, batch)
-    b = targets.shape[0]
-    m = cfg.feature_dim
-
-    if isinstance(batch, InstanceBatch):
-        streams = [(batch.x, p.output_weights)]
-    else:
-        streams = [
-            (np.asarray(batch.left, dtype=np.float64), p.output_weights[:m]),
-            (np.asarray(batch.right, dtype=np.float64), p.output_weights[m:]),
-        ]
-
-    stack = [_forward_stack(p, x) for x, _ in streams]
-    scores = np.zeros(b)
-    for (acts, _), (_, w_head) in zip(stack, streams):
-        scores += matmul(acts[-1], w_head[:, None]).ravel()
-    scores += p.output_bias
-
-    residual = scores - targets
+    scores, stack = forward(model, batch.streams)
+    residual = scores - batch_targets(cfg, batch)
     mae = float(np.mean(np.abs(residual)))
     objective = mae + cfg.l2_lambda * _weight_square_sum(p)
-    g = np.sign(residual) / b
+    g = np.sign(residual) / residual.shape[0]
 
+    head = head_matrix(model)
     g_hidden_w = [np.zeros_like(w) for w in p.hidden_weights]
     g_hidden_b = [np.zeros_like(bb) for bb in p.hidden_biases]
     g_out_w = np.zeros_like(p.output_weights)
     g_out_b = float(np.sum(g))
 
     n_layers = len(p.hidden_weights)
-    for si, ((acts, pres), (_, w_head)) in enumerate(zip(stack, streams)):
-        head_grad = matmul(acts[-1].T, g[:, None]).ravel()
-        if isinstance(batch, InstanceBatch):
-            g_out_w += head_grad
-        elif si == 0:
-            g_out_w[:m] += head_grad
-        else:
-            g_out_w[m:] += head_grad
+    for s, (acts, pres) in enumerate(stack):
+        g_out_w.reshape(len(stack), -1)[s] += matmul(acts[-1].T, g[:, None]).ravel()
         if n_layers == 0:
             continue
-        delta = (g[:, None] * w_head[None, :]) * (pres[-1] > 0.0)
+        delta = (g[:, None] * head[None, :, s]) * (pres[-1] > 0.0)
         for layer in range(n_layers - 1, -1, -1):
             g_hidden_w[layer] += matmul(acts[layer].T, delta)
             g_hidden_b[layer] += delta.sum(axis=0)
@@ -299,11 +254,6 @@ def objective_and_gradients(
 
     grads = PReNetParams(g_hidden_w, g_hidden_b, g_out_w, g_out_b)
     return objective, grads
-
-
-def batch_gradients(model: Model, batch: PairBatch | InstanceBatch) -> PReNetParams:
-    """Exact subgradient of :func:`batch_objective`."""
-    return objective_and_gradients(model, batch)[1]
 
 
 @dataclass
@@ -466,8 +416,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
 
     Raises :class:`CheckpointError` for a file that is not valid JSON,
     lacks an entry, has another format or version, holds non-finite
-    parameters, or holds arrays whose shapes disagree with
-    ``input_dim``/``hidden_dims``.
+    parameters, an empty or non-finite pool, or a non-finite mean or a
+    non-finite or non-positive scale, or holds arrays whose shapes
+    disagree with ``input_dim``/``hidden_dims``.
     """
     with open(path) as fh:
         try:
@@ -526,8 +477,13 @@ def _from_document(doc) -> tuple[Model, dict]:
                 _decode_array(doc["standardization"][key]),
                 (cfg.input_dim,),
             )
+        mean, scale = extras["mean"], extras["scale"]
+        if not (np.isfinite(mean).all() and np.isfinite(scale).all() and (scale > 0).all()):
+            raise CheckpointError("standardization needs a finite mean and a finite scale > 0")
     if doc.get("pools"):
         for key, name in (("anomaly", "anomaly_pool"), ("unlabeled", "unlabeled_pool")):
             pool = _decode_array(doc["pools"][key])
             extras[name] = _expect_shape(f"{key} pool", pool, (len(pool), cfg.input_dim))
+            if len(pool) == 0 or not np.isfinite(pool).all():
+                raise CheckpointError(f"{key} pool is empty or holds NaN or Inf")
     return Model(cfg, params), extras

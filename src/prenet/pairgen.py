@@ -38,9 +38,6 @@ class OrdinalLabels:
                 f"got ({self.aa}, {self.au}, {self.uu})"
             )
 
-    def value_for(self, cls: PairClass) -> float:
-        return (self.aa, self.au, self.uu)[int(cls)]
-
 
 @dataclass
 class PairBatch:
@@ -61,6 +58,10 @@ class PairBatch:
     def __len__(self) -> int:
         return self.targets.shape[0]
 
+    @property
+    def streams(self) -> tuple[np.ndarray, ...]:
+        return self.left, self.right
+
 
 @dataclass
 class InstanceBatch:
@@ -74,6 +75,10 @@ class InstanceBatch:
 
     def __len__(self) -> int:
         return self.targets.shape[0]
+
+    @property
+    def streams(self) -> tuple[np.ndarray, ...]:
+        return (self.x,)
 
 
 def _pick(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,14 +159,6 @@ def sample_instance_batch(
         from_anomaly_pool=from_anomaly,
         index=index,
     )
-
-
-def training_pair_space_size(n_labeled: int, n_unlabeled: int) -> int:
-    """Number of distinct pairwise samples the three stratified draws can
-    produce: K^3 * N^3, exact (Python integers do not overflow)."""
-    if n_labeled < 1 or n_unlabeled < 1:
-        raise ValueError("pool sizes must be >= 1")
-    return int(n_labeled) ** 3 * int(n_unlabeled) ** 3
 
 
 def _check_eps(eps: float) -> float:

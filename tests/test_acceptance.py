@@ -29,10 +29,10 @@ from prenet.model import (
     Model,
     ModelConfig,
     VARIANTS,
-    batch_gradients,
-    batch_objective,
     batch_targets,
     build_variant,
+    forward,
+    objective_and_gradients,
     params_to_vector,
     vector_to_params,
 )
@@ -86,19 +86,17 @@ class TestCriterion1Gradients:
         else:
             batch = _pair_batch(2, 2, 4, 5, rng)
         # exclude draws with any |.| or relu kink near the base point
-        from prenet.model import _batch_scores, _forward_stack
-
-        scores = _batch_scores(model, batch)
+        scores, stack = forward(model, batch.streams)
         if np.min(np.abs(scores - batch_targets(cfg, batch))) < 1e-3:
             return None
-        sides = [batch.x] if variant == "osnet" else [batch.left, batch.right]
-        for side in sides:
-            _, pres = _forward_stack(model.params, np.asarray(side, dtype=np.float64))
+        for _, pres in stack:
             if any(p.size and np.min(np.abs(p)) < 1e-3 for p in pres):
                 return None
-        analytic = params_to_vector(batch_gradients(model, batch))
+        analytic = params_to_vector(objective_and_gradients(model, batch)[1])
         numeric = finite_diff_grad(
-            lambda v: batch_objective(Model(cfg, vector_to_params(v, model.params)), batch),
+            lambda v: objective_and_gradients(
+                Model(cfg, vector_to_params(v, model.params)), batch
+            )[0],
             params_to_vector(model.params),
             h=1e-5,
         )

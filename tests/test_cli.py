@@ -1,7 +1,10 @@
+import base64
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prenet.cli import main
@@ -329,6 +332,38 @@ def _set_output_shape(doc):
     doc["params"]["output_weights"]["shape"] = [20, 2]
 
 
+def _edit_array(section, key, change):
+    """Row: score with a checkpoint whose array ``doc[section][key]`` is
+    replaced by ``change(array)``."""
+
+    def edit(doc):
+        entry = doc[section][key]
+        raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+        a = change(raw.reshape(entry["shape"]).copy())
+        entry.update(shape=list(a.shape), data=base64.b64encode(a.tobytes()).decode())
+
+    return _edit_document(edit)
+
+
+def _first_entry(value):
+    def change(a):
+        a.flat[0] = value
+        return a
+
+    return change
+
+
+def _eval_scores(last_row):
+    """Row: evaluate a scores file with both classes, ending in ``last_row``."""
+
+    def argv(tmp_path, data, ckpt):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"row_index,score,true_label\n0,0.9,1\n1,0.1,0\n{last_row}\n")
+        return ["eval", "--scores", str(scores), "-o", str(tmp_path / "m.json")]
+
+    return argv
+
+
 MALFORMED_INPUTS = [
     # (case, argv builder, expected exit code)
     ("truncated_checkpoint", _score_with_checkpoint(lambda t: t[: len(t) // 2]), 3),
@@ -344,9 +379,18 @@ MALFORMED_INPUTS = [
      _edit_document(lambda d: d["params"]["output_weights"].update(data="!!")), 3),
     ("checkpoint_foreign_format", _edit_document(lambda d: d.update(format="other")), 3),
     ("checkpoint_not_an_object", _score_with_checkpoint(lambda t: "[1, 2]"), 3),
+    ("checkpoint_nan_pool", _edit_array("pools", "unlabeled", _first_entry(np.nan)), 3),
+    ("checkpoint_empty_pool", _edit_array("pools", "anomaly", lambda a: a[:0]), 3),
+    ("checkpoint_zero_scale",
+     _edit_array("standardization", "scale", _first_entry(0.0)), 3),
+    ("checkpoint_inf_mean",
+     _edit_array("standardization", "mean", _first_entry(np.inf)), 3),
     ("unlabeled_nan_feature", _score_unlabeled("nan"), 3),
     ("unlabeled_inf_feature", _score_unlabeled("-inf"), 3),
     ("label_value_2", _score_with_label("2"), 3),
+    ("eval_label_one_half", _eval_scores("2,0.5,0.5"), 3),
+    ("eval_nan_score", _eval_scores("2,nan,1"), 3),
+    ("eval_label_value_2", _eval_scores("2,0.5,2"), 3),
     ("jobs_zero",
      lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST,
                                    "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),
@@ -358,7 +402,8 @@ MALFORMED_INPUTS = [
 )
 def test_malformed_input_exit_code(case, argv, expected, trained, tmp_path, capsys):
     data, ckpt = trained
-    assert main(argv(tmp_path, data, ckpt)) == expected
+    args = argv(tmp_path, data, ckpt)
+    assert main(args) == expected
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
-    assert not (tmp_path / "s.csv").exists()
+    assert not Path(args[args.index("-o") + 1]).exists()

@@ -182,6 +182,14 @@ class TestBuildWeakSupervision:
         assert np.array_equal(s1.features, s2.features)
         assert np.array_equal(s1.labeled_idx, s2.labeled_idx)
 
+    def test_pools_are_cached_store_rows(self):
+        ds = toy_dataset(100, 50)
+        split = build_weak_supervision(ds, 20, 0.05, make_rng(1))
+        assert np.array_equal(split.a_features, split.features[split.labeled_idx])
+        assert np.array_equal(split.u_features, split.features[split.unlabeled_idx])
+        assert split.a_features is split.a_features
+        assert split.u_features is split.u_features
+
     def test_test_set_rides_along_untouched(self):
         ds = toy_dataset(300, 90)
         train, test = stratified_split(ds, 0.8, make_rng(0))

@@ -16,9 +16,8 @@ from prenet.harness import SyntheticSpec, generate_synthetic
 from prenet.model import (
     ModelConfig,
     build_variant,
-    forward_pair,
-    forward_pairs,
-    forward_singles,
+    features,
+    forward,
     params_to_vector,
 )
 from prenet.ndcore import make_rng
@@ -34,6 +33,11 @@ def small_split(n_normal=60, n_anomaly=20, n_labeled=5, eps=0.0, dim=3, seed=0, 
     if with_test:
         test = LabeledDataset(rng.standard_normal((10, dim)), np.array([1] * 3 + [0] * 7))
     return build_weak_supervision(ds, n_labeled, eps, rng, test=test)
+
+
+def pair_score(model, a, b):
+    """Score of one ordered pair of 1-D rows."""
+    return float(forward(model, (a[None, :], b[None, :]))[0][0])
 
 
 def tiny_cfg(variant="prenet", dim=3, **kw):
@@ -129,7 +133,7 @@ class TestScoring:
         x = make_rng(4).standard_normal(3)
         a = tiny.features[tiny.labeled_idx[0]]
         u = tiny.features[tiny.unlabeled_idx[0]]
-        expect = (forward_pair(model, a, x) + forward_pair(model, x, u)) / 2.0
+        expect = (pair_score(model, a, x) + pair_score(model, x, u)) / 2.0
         for seed in range(3):
             got = score_dataset(model, x[None, :], tiny, 1, make_rng(seed))[0]
             assert got == pytest.approx(expect, rel=1e-12)
@@ -155,7 +159,7 @@ class TestScoring:
         got = score_with_partners(
             model, x[None, :], split.a_features, split.u_features, a_pos, u_pos
         )[0]
-        expect = (forward_pair(model, a, x) + forward_pair(model, x, u)) / 2.0
+        expect = (pair_score(model, a, x) + pair_score(model, x, u)) / 2.0
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_keyed_partners_make_order_irrelevant(self):
@@ -217,17 +221,15 @@ class TestScoring:
         split = small_split()
         model = build_variant(ModelConfig("prenet", 3), make_rng(40))
         x = make_rng(41).standard_normal(3)
-        from prenet.model import feature
-
-        z_before = feature(model.params, x).copy()
+        z_before = features(model.params, x)[0].copy()
         active = int(np.flatnonzero(z_before > 0)[0])
         model.params.hidden_biases[0][active] += 0.25
-        z_after = feature(model.params, x)
+        z_after = features(model.params, x)[0]
         # one stored stack: a perturbation moves the representation seen
         # by both pair positions identically
         m = model.config.feature_dim
         w = model.params.output_weights
-        s = forward_pair(model, x, x)
+        s = pair_score(model, x, x)
         expect = float(w[:m] @ z_after + w[m:] @ z_after + model.params.output_bias)
         assert s == pytest.approx(expect, rel=1e-12)
         assert not np.array_equal(z_before, z_after)
@@ -237,9 +239,18 @@ class TestScoring:
         model = build_variant(ModelConfig("osnet", 3), make_rng(16))
         x = make_rng(17).standard_normal((6, 3))
         scores = score_dataset(model, x, split, 30, make_rng(18))
-        assert np.array_equal(scores, forward_singles(model, x))
+        assert np.array_equal(scores, forward(model, (x,))[0])
         # no randomness consumed: any seed gives the same result
         assert np.array_equal(scores, score_dataset(model, x, split, 30, make_rng(99)))
+
+    def test_one_stream_model_rejected_by_pair_scoring(self):
+        split = small_split()
+        model = build_variant(ModelConfig("osnet", 3), make_rng(16))
+        a_pos, u_pos = draw_partner_indices(split.n_labeled, split.n_unlabeled, 2, 3, make_rng(0))
+        with pytest.raises(ValueError, match="does not score pairs"):
+            score_with_partners(
+                model, np.ones((2, 3)), split.a_features, split.u_features, a_pos, u_pos
+            )
 
     def test_empty_pool_rejected(self):
         split = small_split()
@@ -251,12 +262,12 @@ class TestScoring:
 
 
 def unfactored_scores(model, x, anomaly_pool, unlabeled_pool, a_pos, u_pos):
-    """Reference: every pair scored on its own through forward_pairs,
+    """Reference: every pair scored on its own through forward,
     each anchor repeated once per partner."""
     n, e = a_pos.shape
     anchors = np.repeat(x, e, axis=0)
-    s_a = forward_pairs(model, anomaly_pool[a_pos.ravel()], anchors).reshape(n, e)
-    s_u = forward_pairs(model, anchors, unlabeled_pool[u_pos.ravel()]).reshape(n, e)
+    s_a = forward(model, (anomaly_pool[a_pos.ravel()], anchors))[0].reshape(n, e)
+    s_u = forward(model, (anchors, unlabeled_pool[u_pos.ravel()]))[0].reshape(n, e)
     return (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
 
 

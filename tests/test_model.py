@@ -8,18 +8,12 @@ from prenet.model import (
     OptimizerState,
     PReNetParams,
     VARIANTS,
-    batch_gradients,
-    batch_objective,
     batch_targets,
     build_variant,
-    feature,
     features,
-    forward_pair,
-    forward_pairs,
-    forward_singles,
+    forward,
     load_checkpoint,
     objective_and_gradients,
-    pair_loss,
     params_to_vector,
     rmsprop_step,
     save_checkpoint,
@@ -29,6 +23,15 @@ from prenet.ndcore import finite_diff_grad, make_rng
 from prenet.pairgen import InstanceBatch, OrdinalLabels, PairBatch, PairClass
 
 LABELS = OrdinalLabels()
+
+
+def pair_score(model, a, b):
+    """Score of one ordered pair of 1-D rows."""
+    return float(forward(model, (a[None, :], b[None, :]))[0][0])
+
+
+def objective(model, batch):
+    return objective_and_gradients(model, batch)[0]
 
 
 def make_pair_batch(n_aa, n_au, n_uu, dim, rng, labels=LABELS):
@@ -122,7 +125,7 @@ class TestForward:
     def test_zero_params_zero_feature(self):
         model = build_variant(ModelConfig("prenet", 4), make_rng(0))
         model.params.hidden_weights[0][:] = 0.0
-        z = feature(model.params, np.ones(4))
+        z = features(model.params, np.ones(4))[0]
         assert np.array_equal(z, np.zeros(20))
 
     def test_hand_computed_single_unit(self):
@@ -130,8 +133,8 @@ class TestForward:
         model = build_variant(cfg, make_rng(0))
         model.params.hidden_weights[0][:] = np.array([[2.0]])
         model.params.hidden_biases[0][:] = np.array([-1.0])
-        assert feature(model.params, np.array([1.0]))[0] == 1.0  # relu(2*1-1)
-        assert feature(model.params, np.array([0.0]))[0] == 0.0  # relu(-1)
+        assert features(model.params, np.array([1.0]))[0, 0] == 1.0  # relu(2*1-1)
+        assert features(model.params, np.array([0.0]))[0, 0] == 0.0  # relu(-1)
 
     def test_feature_matches_straight_line_reimplementation(self):
         rng = make_rng(4)
@@ -159,14 +162,14 @@ class TestForward:
             w[:] = 0.0
         model.params.output_weights[:] = 0.0
         rng = make_rng(2)
-        assert forward_pair(model, rng.standard_normal(3), rng.standard_normal(3)) == 0.0
+        assert pair_score(model, rng.standard_normal(3), rng.standard_normal(3)) == 0.0
 
     def test_bias_only_network_is_constant(self):
         model = build_variant(ModelConfig("prenet", 3), make_rng(1))
         model.params.output_weights[:] = 0.0
         model.params.output_bias = 4.0
         rng = make_rng(3)
-        s = forward_pairs(model, rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
+        s, _ = forward(model, (rng.standard_normal((5, 3)), rng.standard_normal((5, 3))))
         assert np.array_equal(s, np.full(5, 4.0))
 
     def test_stream_swap_symmetry(self):
@@ -180,7 +183,7 @@ class TestForward:
         for _ in range(10):
             a = rng.standard_normal(4)
             b = rng.standard_normal(4)
-            assert forward_pair(model, a, b) == forward_pair(swapped, b, a)
+            assert pair_score(model, a, b) == pair_score(swapped, b, a)
 
     def test_ldm_is_linear_in_concatenated_pair(self):
         rng = make_rng(6)
@@ -189,22 +192,20 @@ class TestForward:
         b = rng.standard_normal(3)
         w = model.params.output_weights
         expect = w[:3] @ a + w[3:] @ b + model.params.output_bias
-        assert forward_pair(model, a, b) == pytest.approx(expect, rel=1e-12)
+        assert pair_score(model, a, b) == pytest.approx(expect, rel=1e-12)
 
     def test_variant_stream_guards(self):
         pair_model = build_variant(ModelConfig("prenet", 3), make_rng(0))
         single_model = build_variant(ModelConfig("osnet", 3), make_rng(0))
-        with pytest.raises(ValueError):
-            forward_singles(pair_model, np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            forward_pairs(single_model, np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="takes 2 stream"):
+            forward(pair_model, (np.ones((2, 3)),))
+        with pytest.raises(ValueError, match="takes 1 stream"):
+            forward(single_model, (np.ones((2, 3)), np.ones((2, 3))))
+        with pytest.raises(ValueError, match="takes 1 stream"):
+            objective_and_gradients(single_model, make_pair_batch(1, 1, 2, 3, make_rng(1)))
 
 
 class TestLossAndObjective:
-    def test_pair_loss_values(self):
-        assert pair_loss(6.5, 8.0) == 1.5
-        assert pair_loss(3.0, 3.0) == 0.0
-        assert pair_loss(2.0, 5.0) == pair_loss(5.0, 2.0)
 
     def test_zero_params_objective_is_mean_target(self):
         # 1 aa + 1 au + 2 uu with zero params: MAE = (8+4+0+0)/4 = 3, R = 0
@@ -213,15 +214,15 @@ class TestLossAndObjective:
         model.params.hidden_weights[0][:] = 0.0
         model.params.output_weights[:] = 0.0
         batch = make_pair_batch(1, 1, 2, 3, make_rng(1))
-        assert batch_objective(model, batch) == 3.0
+        assert objective(model, batch) == 3.0
 
     def test_lambda_zero_is_pure_mae(self):
         rng = make_rng(2)
         cfg = ModelConfig("prenet", 3, l2_lambda=0.0)
         model = build_variant(cfg, rng)
         batch = make_pair_batch(2, 2, 4, 3, rng)
-        scores = forward_pairs(model, batch.left, batch.right)
-        assert batch_objective(model, batch) == pytest.approx(
+        scores, _ = forward(model, batch.streams)
+        assert objective(model, batch) == pytest.approx(
             np.mean(np.abs(batch.targets - scores)), rel=1e-15
         )
 
@@ -234,9 +235,9 @@ class TestLossAndObjective:
         r = sum(float(np.sum(w * w)) for w in base.params.hidden_weights) + float(
             np.sum(base.params.output_weights ** 2)
         )
-        o0 = batch_objective(base, batch)
-        o1 = batch_objective(single, batch)
-        o2 = batch_objective(double, batch)
+        o0 = objective(base, batch)
+        o1 = objective(single, batch)
+        o2 = objective(double, batch)
         assert o1 - o0 == pytest.approx(0.01 * r, rel=1e-12)
         assert o2 - o1 == pytest.approx(0.01 * r, rel=1e-12)
 
@@ -250,7 +251,7 @@ class TestLossAndObjective:
         model = build_variant(ModelConfig("prenet", 3), make_rng(0))
         batch = make_pair_batch(0, 0, 0, 3, make_rng(0))
         with pytest.raises(ValueError):
-            batch_objective(model, batch)
+            objective(model, batch)
 
 
 def relative_error(analytic, numeric):
@@ -260,15 +261,11 @@ def relative_error(analytic, numeric):
 
 def far_from_kinks(model, batch, margin):
     """Reject draws where a |.| or relu kink sits within `margin`."""
-    from prenet.model import _forward_stack, _batch_scores
-
-    scores = _batch_scores(model, batch)
+    scores, stack = forward(model, batch.streams)
     targets = batch_targets(model.config, batch)
     if np.min(np.abs(scores - targets)) < margin:
         return False
-    xs = [batch.x] if isinstance(batch, InstanceBatch) else [batch.left, batch.right]
-    for x in xs:
-        _, pres = _forward_stack(model.params, np.asarray(x, dtype=np.float64))
+    for _, pres in stack:
         for pre in pres:
             if pre.size and np.min(np.abs(pre)) < margin:
                 return False
@@ -285,11 +282,11 @@ class TestGradients:
         batch = batch_for(cfg, 5, rng)
         if not far_from_kinks(model, batch, 1e-3):
             return None
-        analytic = params_to_vector(batch_gradients(model, batch))
+        analytic = params_to_vector(objective_and_gradients(model, batch)[1])
 
         def f(vec):
             probe = Model(cfg, vector_to_params(vec, model.params))
-            return batch_objective(probe, batch)
+            return objective_and_gradients(probe, batch)[0]
 
         numeric = finite_diff_grad(f, params_to_vector(model.params), h=1e-5)
         return relative_error(analytic, numeric)
@@ -310,9 +307,9 @@ class TestGradients:
         cfg = ModelConfig("prenet", 3, l2_lambda=0.0)
         model = build_variant(cfg, make_rng(0))
         batch = make_pair_batch(1, 1, 2, 3, make_rng(1))
-        scores = forward_pairs(model, batch.left, batch.right)
+        scores, _ = forward(model, batch.streams)
         batch.targets = scores.copy()  # every pair already perfectly fitted
-        grads = batch_gradients(model, batch)
+        grads = objective_and_gradients(model, batch)[1]
         assert np.array_equal(params_to_vector(grads), np.zeros(model.params.n_params))
 
     def test_lambda_only_gradient_is_2_lambda_w(self):
@@ -320,9 +317,9 @@ class TestGradients:
         cfg = ModelConfig("prenet", 3, l2_lambda=lam)
         model = build_variant(cfg, make_rng(2))
         batch = make_pair_batch(1, 1, 2, 3, make_rng(3))
-        scores = forward_pairs(model, batch.left, batch.right)
+        scores, _ = forward(model, batch.streams)
         batch.targets = scores.copy()
-        grads = batch_gradients(model, batch)
+        grads = objective_and_gradients(model, batch)[1]
         assert np.allclose(grads.hidden_weights[0], 2 * lam * model.params.hidden_weights[0])
         assert np.allclose(grads.output_weights, 2 * lam * model.params.output_weights)
         assert np.array_equal(grads.hidden_biases[0], np.zeros(20))
@@ -335,7 +332,11 @@ class TestGradients:
             model = build_variant(cfg, rng)
             batch = batch_for(cfg, 5, rng)
             obj, _ = objective_and_gradients(model, batch)
-            assert obj == batch_objective(model, batch)
+            scores, _ = forward(model, batch.streams)
+            mae = float(np.mean(np.abs(batch_targets(cfg, batch) - scores)))
+            r = sum(float(np.sum(w * w)) for w in model.params.hidden_weights)
+            r += float(np.sum(model.params.output_weights ** 2))
+            assert obj == mae + cfg.l2_lambda * r
 
 
 class TestRmsprop:
@@ -394,11 +395,11 @@ class TestRmsprop:
         model = build_variant(cfg, rng)
         batch = make_pair_batch(4, 4, 8, 4, rng)
         state = OptimizerState.for_params(model.params, learning_rate=0.01)
-        start = batch_objective(model, batch)
+        start = objective(model, batch)
         for _ in range(200):
             _, grads = objective_and_gradients(model, batch)
             rmsprop_step(model.params, grads, state)
-        end = batch_objective(model, batch)
+        end = objective(model, batch)
         assert end <= 0.5 * start
 
 

@@ -11,7 +11,6 @@ from prenet.pairgen import (
     mislabel_fraction,
     sample_instance_batch,
     sample_pair_batch,
-    training_pair_space_size,
 )
 
 LABELS = OrdinalLabels()
@@ -72,6 +71,8 @@ class TestSamplePairBatch:
         batch = sample_pair_batch(split, 32, LABELS, make_rng(3))
         assert np.array_equal(batch.left, split.features[batch.left_index])
         assert np.array_equal(batch.right, split.features[batch.right_index])
+        left, right = batch.streams
+        assert left is batch.left and right is batch.right
 
     def test_singleton_pools(self):
         split = make_split()
@@ -121,25 +122,12 @@ class TestSampleInstanceBatch:
         a_set = set(split.labeled_idx.tolist())
         for i, from_a in zip(batch.index, batch.from_anomaly_pool):
             assert (i in a_set) == bool(from_a)
+        (x,) = batch.streams
+        assert x is batch.x
 
     def test_odd_batch_rejected(self):
         with pytest.raises(ValueError):
             sample_instance_batch(make_split(), 3, LABELS, make_rng(0))
-
-
-class TestPairSpaceSize:
-    def test_trivial(self):
-        assert training_pair_space_size(1, 1) == 1
-        assert training_pair_space_size(2, 3) == 216
-
-    def test_exact_big_integer(self):
-        assert training_pair_space_size(60, 5000) == 60**3 * 5000**3
-        assert training_pair_space_size(60, 5000) == 27_000_000_000_000_000
-        assert training_pair_space_size(60, 5000) == 300_000**3
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            training_pair_space_size(0, 5)
 
 
 class TestTheoryCalculators:
