@@ -15,9 +15,13 @@ gathered from them. For n instances and ensemble size E, each pool
 contributes all of its rows when it has at most n·E rows, and only its
 n·E drawn rows otherwise; the choice follows from shapes alone. So at
 most ``n + min(|A|, n·E) + min(|U|, n·E)`` rows go through the stack,
-instead of ``4·n·E``. Every matmul output entry is computed on its own
-in ascending k, and the elementwise steps are per row, so the scores
-are byte-identical to scoring each pair with
+instead of ``4·n·E``. The rows of x are scored in blocks of 2048: the
+first block's stack pass also covers the pool rows, later blocks run
+only their own rows, and each block gathers and sums its own pair
+scores, so the transient memory of a call is bounded by the block and
+the partner draws, not by n·E. Every matmul output entry is computed
+on its own in ascending k, and the elementwise steps are per row, so
+the scores are byte-identical to scoring each pair with
 :func:`prenet.model.forward`.
 """
 
@@ -141,8 +145,9 @@ def draw_partner_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw scoring partners for n_rows instances, in row order.
 
-    Returns positions into the anomaly and unlabeled pools (each
-    ``n_rows x ensemble_size``), uniform with replacement. Pre-drawing
+    Returns int32 positions into the anomaly and unlabeled pools (each
+    ``n_rows x ensemble_size``), uniform with replacement; they equal
+    the default int64 draws and consume the generator alike. Pre-drawing
     makes per-row scores independent of evaluation order, so rows may
     be scored in parallel or in any order once the draw is fixed.
     """
@@ -150,9 +155,15 @@ def draw_partner_indices(
         raise ValueError("both A and U must be nonempty for scoring")
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    a_pos = rng.integers(0, n_anomaly, size=(n_rows, ensemble_size))
-    u_pos = rng.integers(0, n_unlabeled, size=(n_rows, ensemble_size))
+    a_pos = rng.integers(0, n_anomaly, size=(n_rows, ensemble_size), dtype=np.int32)
+    u_pos = rng.integers(0, n_unlabeled, size=(n_rows, ensemble_size), dtype=np.int32)
     return a_pos, u_pos
+
+
+# Rows of x gathered and summed per block of score_with_partners: the
+# block's (rows, E) pair-score arrays and stack activations stay small,
+# so one call's transient memory does not grow with the number of rows.
+_SCORE_BLOCK_ROWS = 2048
 
 
 def _stack_rows(pool: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,13 +195,22 @@ def score_with_partners(
             f"for {x.shape[0]} instances"
         )
     p = model.params
+    head = head_matrix(model)
     a_rows, a_at = _stack_rows(anomaly_pool, a_pos)
     u_rows, u_at = _stack_rows(unlabeled_pool, u_pos)
-    z = features(p, np.concatenate([x, a_rows, u_rows]))
-    c_l, c_r = matmul(z, head_matrix(model)).T
-    s_a = (c_l[n:][a_at] + c_r[:n, None]) + p.output_bias
-    s_u = (c_l[:n, None] + c_r[n + len(a_rows) :][u_at]) + p.output_bias
-    return (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
+    scores = np.empty(n)
+    for r0 in range(0, n, _SCORE_BLOCK_ROWS):
+        r1 = min(r0 + _SCORE_BLOCK_ROWS, n)
+        if r0 == 0:
+            c = matmul(features(p, np.concatenate([x[:r1], a_rows, u_rows])), head)
+            c_a, c_u = c[r1 : r1 + len(a_rows), 0], c[r1 + len(a_rows) :, 1]
+        else:
+            c = matmul(features(p, x[r0:r1]), head)
+        c_l, c_r = c[: r1 - r0].T
+        s_a = (c_a[a_at[r0:r1]] + c_r[:, None]) + p.output_bias
+        s_u = (c_l[:, None] + c_u[u_at[r0:r1]]) + p.output_bias
+        scores[r0:r1] = (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
+    return scores
 
 
 def score_dataset(

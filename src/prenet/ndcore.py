@@ -7,14 +7,18 @@ C-contiguous, row-major) and are bit-reproducible.
 
 Matrix product contract: every output entry is
 ``0.0 + a[i, 0]*b[0, j] + a[i, 1]*b[1, j] + ...``, one rounded product
-added at a time in ascending k. Two kernels implement it and the shape
-alone picks one: a loop over k for small shared dimensions or large
-outputs, and a chunked ``cumsum`` over the k-major product tensor for
-large shared dimensions with small outputs (the backward products of
-training). Both are byte-identical to a scalar triple loop, signed
-zeros included, so repeated runs and independent reimplementations
-with the same summation order agree exactly. Reductions of undefined
-order (``np.add.reduce``, ``einsum``, ``@``/BLAS) are not used.
+added at a time in ascending k. Three kernels implement it and the
+shape alone picks one: a chunked ``cumsum`` over the k-major product
+tensor, viewed as complex128 so one add advances two sums, for large
+enough k with small outputs (the backward products and the head of
+training); a loop over k along the rows, in blocks of at most 4096
+rows, for other tall shapes (m > n: the forward products and the
+scoring head); and a loop over k along the columns otherwise. All
+three are byte-identical to a scalar triple loop, signed zeros,
+infinities and NaNs included, so repeated runs and independent
+reimplementations with the same summation order agree exactly.
+Reductions of undefined order (``np.add.reduce``, ``einsum``,
+``@``/BLAS) are not used.
 """
 
 from __future__ import annotations
@@ -45,13 +49,24 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 # matmul uses the cumsum kernel when k >= _CUMSUM_MIN_K and
-# m*n <= _CUMSUM_MAX_OUTPUT, where it beats the loop over k (2-vCPU
-# x86-64 VM, NumPy 2.4: 3.2x on the 10x512 @ 512x20 backward product;
-# even at k = 32 with m*n = 500, and slower beyond m*n of about 600).
-_CUMSUM_MIN_K = 32
+# m*n <= _CUMSUM_MAX_OUTPUT (2-vCPU x86-64 VM, NumPy 2.4, median CPU-time
+# ratio over 150 interleaved timings against the loop kernels): 2.9x on
+# the 10x512 @ 512x20 backward product, 16x on 20x512 @ 512x1, 1.2-2.1x
+# at k = 16-20 on 10x20, 20x20 and 512x1 outputs, and 1.0-1.4x from run
+# to run at k = 12.
+# Past m*n = 512 it still wins on squarish outputs (1.2-1.5x at k = 64
+# up to 25x28), but it loses to the row-blocked loop on tall outputs
+# with n >= 2 and a few hundred rows (0.52x on the 278x2 scoring head,
+# which stays on the loop; 0.53x on 256x2 at k = 16 and 0.58x on 300x2
+# at k = 64, shapes that neither training nor scoring runs).
+_CUMSUM_MIN_K = 16
 _CUMSUM_MAX_OUTPUT = 512
 # Elements per product chunk of the cumsum kernel: 128 KB of float64.
 _CHUNK_ELEMENTS = 16384
+# Rows per block of the loop kernel on tall shapes (m > n): a block's
+# n x 4096 accumulator and product buffers and its transposed rows of
+# ``a`` stay within a 2 MB L2 cache for n, k <= 20.
+_ROW_BLOCK = 4096
 
 
 def matmul(a, b) -> np.ndarray:
@@ -70,13 +85,40 @@ def matmul(a, b) -> np.ndarray:
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ "
             f"{b.shape[0]}x{b.shape[1]}"
         )
-    if a.shape[1] >= _CUMSUM_MIN_K and a.shape[0] * b.shape[1] <= _CUMSUM_MAX_OUTPUT:
+    m, n = a.shape[0], b.shape[1]
+    if a.shape[1] >= _CUMSUM_MIN_K and m * n <= _CUMSUM_MAX_OUTPUT:
         return _matmul_cumsum(a, b)
-    out = np.zeros((a.shape[0], b.shape[1]))
+    if m <= n:
+        out = np.empty((m, n))
+        _accumulate(a.T[:, :, None], b[:, None, :], out)
+        return out
+    return _matmul_rows(a, b)
+
+
+def _accumulate(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """``out = 0.0 + left[0] * right[0] + left[1] * right[1] + ...``, one
+    rounded product added at a time; ``left[k] * right[k]`` broadcasts to
+    ``out``'s shape, whose last axis is the one each ufunc call runs along."""
     tmp = np.empty_like(out)
-    for k in range(a.shape[1]):
-        np.multiply(a[:, k, None], b[None, k, :], out=tmp)
+    out[...] = 0.0
+    for lk, rk in zip(left, right):
+        np.multiply(lk, rk, out=tmp)
         out += tmp
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Loop kernel for tall shapes (m > n): each block of at most
+    ``_ROW_BLOCK`` rows accumulates its transposed ``n x rows`` output, so
+    every ufunc call runs along the rows rather than along n, and the
+    temporaries do not grow with m."""
+    m, n = a.shape[0], b.shape[1]
+    out = np.empty((m, n))
+    acc = np.empty((n, min(m, _ROW_BLOCK)))
+    for r0 in range(0, m, _ROW_BLOCK):
+        a_t = np.ascontiguousarray(a[r0 : r0 + _ROW_BLOCK].T)
+        block = acc[:, : a_t.shape[1]]
+        _accumulate(a_t[:, None, :], b[:, :, None], block)
+        out[r0 : r0 + _ROW_BLOCK] = block.T
     return out
 
 
@@ -86,24 +128,32 @@ def _matmul_cumsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Row 0 of each chunk holds the running total (zeros for the first
     chunk, which reproduces ``0.0 + (-0.0) == +0.0``), rows 1.. the
-    products ``a[i, k] * b[k, j]`` of the chunk's k range; after the
-    cumsum the last row is the new running total.
+    products ``a[i, k] * b[k, j]`` of the chunk's k range, flattened
+    over (i, j); after the cumsum the last row is the new running total.
+    The cumsum runs on the rows viewed as complex128, so one complex add
+    advances two adjacent float64 sums, each by its own IEEE addition;
+    an odd m*n leaves one zero entry at the end of every row to pair
+    with.
     """
     m, k = a.shape
     n = b.shape[1]
-    step = min(k, _CHUNK_ELEMENTS // (m * n) - 1)
-    buf = np.empty((step + 1, m, n))
-    buf[0] = 0.0
+    size = m * n
+    width = size + size % 2
+    step = min(k, _CHUNK_ELEMENTS // width - 1)
+    buf = np.zeros((step + 1, width))
+    pairs = buf.view(np.complex128)
+    products = buf[:, :size].reshape(step + 1, m, n)
     a_t = a.T
     last = 0
     for k0 in range(0, k, step):
         if k0:
             buf[0] = buf[last]
         last = min(step, k - k0)
-        chunk = buf[: last + 1]
-        np.multiply(a_t[k0 : k0 + last, :, None], b[k0 : k0 + last, None, :], out=chunk[1:])
-        np.cumsum(chunk, axis=0, out=chunk)
-    return buf[last].copy()
+        np.multiply(
+            a_t[k0 : k0 + last, :, None], b[k0 : k0 + last, None, :], out=products[1 : last + 1]
+        )
+        np.cumsum(pairs[: last + 1], axis=0, out=pairs[: last + 1])
+    return buf[last, :size].reshape(m, n).copy()
 
 
 def relu(x) -> np.ndarray:

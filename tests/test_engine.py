@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,8 @@ def unfactored_scores(model, x, anomaly_pool, unlabeled_pool, a_pos, u_pos):
     return (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
 
 
+_BLOCK = engine._SCORE_BLOCK_ROWS
+
 # variant, input_dim, n rows, ensemble size, |A|, |U|, feature values, output bias
 FACTORED_CASES = {
     "prenet_pools_smaller_than_draw": ("prenet", 3, 20, 6, 5, 40, "normal", 0.0),
@@ -289,6 +293,13 @@ FACTORED_CASES = {
     "huge_values": ("prenet", 40, 5, 6, 10, 100, "huge", 1.0),
     "tiny_values": ("ldm", 40, 5, 6, 100, 10, "tiny", 1.0),
     "huge_values_deep": ("a2h", 3, 5, 6, 10, 100, "huge", 0.0),
+    # rows of x around and past the scoring blocks; in the last case the
+    # U pool outnumbers the draws, so only its drawn rows are stacked
+    "x_block_minus_one": ("prenet", 3, _BLOCK - 1, 2, 5, 50, "normal", 0.5),
+    "x_block": ("prenet", 3, _BLOCK, 2, 5, 50, "normal", 0.5),
+    "x_block_plus_one": ("prenet", 3, _BLOCK + 1, 2, 5, 50, "normal", 0.5),
+    "x_two_blocks_plus_one": ("prenet", 3, 2 * _BLOCK + 1, 2, 5, 50, "normal", 0.5),
+    "x_blocks_drawn_pool": ("prenet", 3, _BLOCK + 1, 1, 3, 3 * _BLOCK, "normal", 0.5),
 }
 
 
@@ -334,6 +345,33 @@ def test_factored_scoring_runs_each_distinct_row_once(monkeypatch, n, e, n_a, n_
     monkeypatch.setattr(engine, "features", counting_features)
     score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
     assert sum(rows) <= n + min(n_a, n * e) + min(n_u, n * e)
+
+
+def test_bulk_scoring_memory_is_bounded():
+    """One E = 30 call on 20 000 rows, partner draws included, stays
+    under 16 MB of transient allocations (27.9 MB when the pair scores
+    of all rows were gathered at once with int64 draws)."""
+    rng = make_rng(60)
+    model = build_variant(ModelConfig("prenet", 10), rng)
+    x, a_pool, u_pool = (rng.standard_normal((rows, 10)) for rows in (20_000, 30, 1633))
+    tracemalloc.start()
+    try:
+        a_pos, u_pos = draw_partner_indices(30, 1633, 20_000, 30, rng)
+        score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("pool_size", [7, 30, 1633, 2**31 - 1])
+def test_partner_draws_are_int32_and_consume_the_generator_like_int64(pool_size):
+    rng, reference = make_rng(70), make_rng(70)
+    a_pos, u_pos = draw_partner_indices(pool_size, pool_size, 500, 30, rng)
+    assert a_pos.dtype == u_pos.dtype == np.int32
+    assert np.array_equal(a_pos, reference.integers(0, pool_size, size=(500, 30)))
+    assert np.array_equal(u_pos, reference.integers(0, pool_size, size=(500, 30)))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestScoresCsv:

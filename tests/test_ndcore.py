@@ -4,6 +4,7 @@ import pytest
 from prenet.errors import NumericError
 from prenet.ndcore import (
     _CHUNK_ELEMENTS,
+    _ROW_BLOCK,
     finite_diff_grad,
     glorot_uniform,
     make_rng,
@@ -99,6 +100,14 @@ def _operands(m, k, n, fill, seed):
     elif fill == "overflow_to_inf":
         a = np.abs(a) * 1e306 + 1e306
         b = np.abs(b) + 0.5
+    elif fill == "lone_overflow":
+        # out[0, 0] overflows to inf and out[2, 0] to inf - inf = nan,
+        # while out[0, 1] and out[2, 1], which share their complex pair
+        # in the cumsum kernel when n is even, stay finite
+        a[0, 1] = a[2, 2] = 1e200
+        a[2, 3] = -1e200
+        b[1:4, 0] = 1e200
+        b[1:4, 1] = 1e-200
     return a, b
 
 
@@ -131,6 +140,29 @@ BYTE_EXACT_CASES = [
     (8, 200, 6, "huge_times_tiny"),
     (8, 200, 6, "subnormal_products"),
     (8, 200, 6, "overflow_to_inf"),
+    # tall shapes (m > n): the row-blocked loop, or the cumsum kernel
+    # when k >= 16 and m*n <= 512
+    (278, 10, 20, "normal"),
+    (278, 20, 2, "normal"),
+    (512, 20, 1, "normal"),
+    (256, 40, 2, "normal"),
+    (_ROW_BLOCK - 1, 10, 2, "normal"),
+    (_ROW_BLOCK, 10, 2, "normal"),
+    (_ROW_BLOCK + 1, 10, 2, "normal"),
+    (2 * _ROW_BLOCK + 1, 10, 2, "normal"),
+    (300, 10, 4, "neg_zero_columns"),
+    (128, 40, 4, "neg_zero_columns"),
+    (300, 10, 4, "mixed_zeros"),
+    # odd m*n: the cumsum kernel pads one zero entry to pair with
+    (7, 513, 3, "normal"),
+    (5, 33, 1, "normal"),
+    (9, 40, 3, "mixed_zeros"),
+    (3, 16, 1, "all_neg_zero"),
+    # one non-finite entry beside a finite one, in every kernel
+    (8, 200, 6, "lone_overflow"),
+    (64, 40, 2, "lone_overflow"),
+    (300, 10, 4, "lone_overflow"),
+    (4, 10, 30, "lone_overflow"),
 ]
 
 
@@ -138,7 +170,7 @@ BYTE_EXACT_CASES = [
 def test_matmul_bytes_equal_triple_loop_oracle(m, k, n, fill):
     """Byte comparison, unlike array_equal, tells -0.0 from +0.0."""
     a, b = _operands(m, k, n, fill, seed=m * 7919 + k * 31 + n)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
 
 
