@@ -9,19 +9,21 @@ anomaly partners and on the left of unlabeled partners.
 Scoring is factored. The head is linear in the concatenated features,
 so a pair score is ``c_l(left) + c_r(right) + b`` with
 ``c_l = f(.)·w_l`` and ``c_r = f(.)·w_r``. The shared stack f runs
-once on the stacked rows ``[x; A rows; U rows]``, one head product
-gives both columns ``c_l`` and ``c_r``, and the pair scores are
+once per row on the stacked rows ``[x; A rows; U rows]``, one head
+product gives both columns ``c_l`` and ``c_r``, and the pair scores are
 gathered from them. For n instances and ensemble size E, each pool
-contributes all of its rows when it has at most n·E rows, and only its
-n·E drawn rows otherwise; the choice follows from shapes alone. So at
-most ``n + min(|A|, n·E) + min(|U|, n·E)`` rows go through the stack,
-instead of ``4·n·E``. The rows of x are scored in blocks of 2048: the
-first block's stack pass also covers the pool rows, later blocks run
-only their own rows, and each block gathers and sums its own pair
-scores, so the transient memory of a call is bounded by the block and
-the partner draws, not by n·E. Every matmul output entry is computed
-on its own in ascending k, and the elementwise steps are per row, so
-the scores are byte-identical to scoring each pair with
+runs all of its rows when it has at most n·E rows, and only its n·E
+drawn rows otherwise; the choice follows from shapes alone. So at most
+``n + min(|A|, n·E) + min(|U|, n·E)`` rows go through the stack,
+instead of ``4·n·E``. The rows of x are scored in blocks of 2048, each
+block gathering and summing its own pair scores. A pool that runs whole
+joins the first block's stack pass; a pool that runs drawn rows adds
+each block's own draws to that block's pass. So a call's transient
+memory is its partner draws, one block with at most 2048·E drawn rows
+per pool, and the stack pass over any pool that runs whole, which grows
+with that pool's size but not with n. Every matmul output entry is
+computed on its own in ascending k, and the elementwise steps are per
+row, so the scores are byte-identical to scoring each pair with
 :func:`prenet.model.forward`.
 """
 
@@ -166,13 +168,16 @@ def draw_partner_indices(
 _SCORE_BLOCK_ROWS = 2048
 
 
-def _stack_rows(pool: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``pool`` to run through the stack, and the position of
-    each draw among them: the whole pool unless it has more rows than
-    there are draws, in which case only the drawn rows."""
-    if len(pool) <= pos.size:
-        return pool, pos
-    return pool[pos.ravel()], np.arange(pos.size).reshape(pos.shape)
+def _stack_rows(pool: np.ndarray, pos: np.ndarray, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``pool`` for the stack pass of the block of x rows
+    ``r0:r1``, and the position of each of the block's draws among them.
+    A pool with no more rows than there are draws runs whole in the
+    first block and in no later one; a larger pool runs the block's
+    drawn rows only."""
+    block = pos[r0:r1]
+    if len(pool) > pos.size:
+        return pool[block.ravel()], np.arange(block.size).reshape(block.shape)
+    return pool[: len(pool) if r0 == 0 else 0], block
 
 
 def score_with_partners(
@@ -196,19 +201,20 @@ def score_with_partners(
         )
     p = model.params
     head = head_matrix(model)
-    a_rows, a_at = _stack_rows(anomaly_pool, a_pos)
-    u_rows, u_at = _stack_rows(unlabeled_pool, u_pos)
     scores = np.empty(n)
     for r0 in range(0, n, _SCORE_BLOCK_ROWS):
         r1 = min(r0 + _SCORE_BLOCK_ROWS, n)
-        if r0 == 0:
-            c = matmul(features(p, np.concatenate([x[:r1], a_rows, u_rows])), head)
-            c_a, c_u = c[r1 : r1 + len(a_rows), 0], c[r1 + len(a_rows) :, 1]
-        else:
-            c = matmul(features(p, x[r0:r1]), head)
+        a_rows, a_at = _stack_rows(anomaly_pool, a_pos, r0, r1)
+        u_rows, u_at = _stack_rows(unlabeled_pool, u_pos, r0, r1)
+        c = matmul(features(p, np.concatenate([x[r0:r1], a_rows, u_rows])), head)
         c_l, c_r = c[: r1 - r0].T
-        s_a = (c_a[a_at[r0:r1]] + c_r[:, None]) + p.output_bias
-        s_u = (c_l[:, None] + c_u[u_at[r0:r1]]) + p.output_bias
+        # a pool that ran whole in the first block keeps its columns
+        if r0 == 0 or len(a_rows):
+            c_a = c[r1 - r0 : r1 - r0 + len(a_rows), 0]
+        if r0 == 0 or len(u_rows):
+            c_u = c[r1 - r0 + len(a_rows) :, 1]
+        s_a = (c_a[a_at] + c_r[:, None]) + p.output_bias
+        s_u = (c_l[:, None] + c_u[u_at]) + p.output_bias
         scores[r0:r1] = (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
     return scores
 

@@ -7,16 +7,16 @@ C-contiguous, row-major) and are bit-reproducible.
 
 Matrix product contract: every output entry is
 ``0.0 + a[i, 0]*b[0, j] + a[i, 1]*b[1, j] + ...``, one rounded product
-added at a time in ascending k. Three kernels implement it and the
-shape alone picks one: a chunked ``cumsum`` over the k-major product
-tensor, viewed as complex128 so one add advances two sums, for large
-enough k with small outputs (the backward products and the head of
-training); a loop over k along the rows, in blocks of at most 4096
-rows, for other tall shapes (m > n: the forward products and the
-scoring head); and a loop over k along the columns otherwise. All
-three are byte-identical to a scalar triple loop, signed zeros,
-infinities and NaNs included, so repeated runs and independent
-reimplementations with the same summation order agree exactly.
+added at a time in ascending k. Two kernels implement it and the shape
+alone picks one: a chunked ``cumsum`` over the k-major product tensor,
+viewed as complex128 so one add advances two sums, for large enough k
+with small outputs that are one column wide or no taller than wide (the
+backward products and the head of training); and otherwise a loop over
+k along the rows, in blocks of at most 4096 rows (the forward products
+and the scoring head). Both are byte-identical to a scalar triple loop,
+signed zeros, infinities and NaNs included, so repeated runs and
+independent reimplementations with the same summation order agree
+exactly.
 Reductions of undefined order (``np.add.reduce``, ``einsum``,
 ``@``/BLAS) are not used.
 """
@@ -48,24 +48,25 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-# matmul uses the cumsum kernel when k >= _CUMSUM_MIN_K and
-# m*n <= _CUMSUM_MAX_OUTPUT (2-vCPU x86-64 VM, NumPy 2.4, median CPU-time
-# ratio over 150 interleaved timings against the loop kernels): 2.9x on
-# the 10x512 @ 512x20 backward product, 16x on 20x512 @ 512x1, 1.2-2.1x
-# at k = 16-20 on 10x20, 20x20 and 512x1 outputs, and 1.0-1.4x from run
-# to run at k = 12.
-# Past m*n = 512 it still wins on squarish outputs (1.2-1.5x at k = 64
-# up to 25x28), but it loses to the row-blocked loop on tall outputs
-# with n >= 2 and a few hundred rows (0.52x on the 278x2 scoring head,
-# which stays on the loop; 0.53x on 256x2 at k = 16 and 0.58x on 300x2
-# at k = 64, shapes that neither training nor scoring runs).
-_CUMSUM_MIN_K = 16
+# matmul uses the cumsum kernel when k >= _CUMSUM_MIN_K, m*n <=
+# _CUMSUM_MAX_OUTPUT and n == 1 or m <= n. Median CPU-time ratio against
+# the row-blocked loop over 150-200 interleaved timings (2-vCPU x86-64
+# VM, NumPy 2.4): 3.3x on the 10x512 @ 512x20 backward product, 22x on
+# 20x512 @ 512x1, 0.9-1.3x from run to run on the 512x20 @ 20x1 training
+# head and 1.9-2.8x on 64-256 rows of it, 2.0-4.6x at k = 10-20 on 1x20,
+# 10x20 and 20x20 outputs, 1.1-2.0x at k = 8 on outputs of up to 512
+# entries, and 1.0-1.4x at k = 4. Tall outputs with n >= 2 stay on the
+# loop: there the cumsum kernel loses with a few hundred rows (0.51x on
+# 256x16 @ 16x2, 0.63x on 256x20 @ 20x2, 0.52x on the 278x20 @ 20x2
+# scoring head) and gains at most 1.5x on squarish ones such as
+# 21x20 @ 20x20, which neither training nor scoring runs.
+_CUMSUM_MIN_K = 8
 _CUMSUM_MAX_OUTPUT = 512
 # Elements per product chunk of the cumsum kernel: 128 KB of float64.
 _CHUNK_ELEMENTS = 16384
-# Rows per block of the loop kernel on tall shapes (m > n): a block's
-# n x 4096 accumulator and product buffers and its transposed rows of
-# ``a`` stay within a 2 MB L2 cache for n, k <= 20.
+# Rows per block of the loop kernel: a block's n x 4096 accumulator and
+# product buffers and its transposed rows of ``a`` stay within a 2 MB
+# L2 cache for n, k <= 20.
 _ROW_BLOCK = 4096
 
 
@@ -85,40 +86,31 @@ def matmul(a, b) -> np.ndarray:
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ "
             f"{b.shape[0]}x{b.shape[1]}"
         )
-    m, n = a.shape[0], b.shape[1]
-    if a.shape[1] >= _CUMSUM_MIN_K and m * n <= _CUMSUM_MAX_OUTPUT:
+    m, k, n = *a.shape, b.shape[1]
+    if k >= _CUMSUM_MIN_K and m * n <= _CUMSUM_MAX_OUTPUT and (n == 1 or m <= n):
         return _matmul_cumsum(a, b)
-    if m <= n:
-        out = np.empty((m, n))
-        _accumulate(a.T[:, :, None], b[:, None, :], out)
-        return out
     return _matmul_rows(a, b)
 
 
-def _accumulate(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
-    """``out = 0.0 + left[0] * right[0] + left[1] * right[1] + ...``, one
-    rounded product added at a time; ``left[k] * right[k]`` broadcasts to
-    ``out``'s shape, whose last axis is the one each ufunc call runs along."""
-    tmp = np.empty_like(out)
-    out[...] = 0.0
-    for lk, rk in zip(left, right):
-        np.multiply(lk, rk, out=tmp)
-        out += tmp
-
-
 def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Loop kernel for tall shapes (m > n): each block of at most
-    ``_ROW_BLOCK`` rows accumulates its transposed ``n x rows`` output, so
-    every ufunc call runs along the rows rather than along n, and the
-    temporaries do not grow with m."""
+    """Loop kernel: each block of at most ``_ROW_BLOCK`` rows accumulates
+    its transposed ``n x rows`` output onto 0.0, one rounded product
+    ``a[i, k] * b[k, j]`` at a time for ascending k, so every ufunc call
+    runs along the rows rather than along n, and the temporaries do not
+    grow with m."""
     m, n = a.shape[0], b.shape[1]
     out = np.empty((m, n))
     acc = np.empty((n, min(m, _ROW_BLOCK)))
+    tmp = np.empty_like(acc)
     for r0 in range(0, m, _ROW_BLOCK):
         a_t = np.ascontiguousarray(a[r0 : r0 + _ROW_BLOCK].T)
-        block = acc[:, : a_t.shape[1]]
-        _accumulate(a_t[:, None, :], b[:, :, None], block)
-        out[r0 : r0 + _ROW_BLOCK] = block.T
+        rows = a_t.shape[1]
+        block, products = acc[:, :rows], tmp[:, :rows]
+        block[...] = 0.0
+        for a_k, b_k in zip(a_t, b):
+            np.multiply(a_k, b_k[:, None], out=products)
+            block += products
+        out[r0 : r0 + rows] = block.T
     return out
 
 

@@ -293,13 +293,14 @@ FACTORED_CASES = {
     "huge_values": ("prenet", 40, 5, 6, 10, 100, "huge", 1.0),
     "tiny_values": ("ldm", 40, 5, 6, 100, 10, "tiny", 1.0),
     "huge_values_deep": ("a2h", 3, 5, 6, 10, 100, "huge", 0.0),
-    # rows of x around and past the scoring blocks; in the last case the
-    # U pool outnumbers the draws, so only its drawn rows are stacked
+    # rows of x around and past the scoring blocks; in the last two cases
+    # a pool outnumbers the draws, so each block stacks its drawn rows
     "x_block_minus_one": ("prenet", 3, _BLOCK - 1, 2, 5, 50, "normal", 0.5),
     "x_block": ("prenet", 3, _BLOCK, 2, 5, 50, "normal", 0.5),
     "x_block_plus_one": ("prenet", 3, _BLOCK + 1, 2, 5, 50, "normal", 0.5),
     "x_two_blocks_plus_one": ("prenet", 3, 2 * _BLOCK + 1, 2, 5, 50, "normal", 0.5),
     "x_blocks_drawn_pool": ("prenet", 3, _BLOCK + 1, 1, 3, 3 * _BLOCK, "normal", 0.5),
+    "x_blocks_drawn_pools": ("ldm", 3, 2 * _BLOCK + 1, 1, 3 * _BLOCK, 3 * _BLOCK, "normal", 0.5),
 }
 
 
@@ -347,16 +348,45 @@ def test_factored_scoring_runs_each_distinct_row_once(monkeypatch, n, e, n_a, n_
     assert sum(rows) <= n + min(n_a, n * e) + min(n_u, n * e)
 
 
-def test_bulk_scoring_memory_is_bounded():
-    """One E = 30 call on 20 000 rows, partner draws included, stays
-    under 16 MB of transient allocations (27.9 MB when the pair scores
-    of all rows were gathered at once with int64 draws)."""
+def test_blocked_scoring_stack_passes(monkeypatch):
+    """One stack pass per block of x rows: the pool that runs whole joins
+    the first block only, the pool larger than the draws adds each
+    block's own draws."""
+    rng = make_rng(51)
+    n, e, n_a, n_u = 2 * _BLOCK + 1, 2, 5, 5 * _BLOCK
+    model = build_variant(ModelConfig("prenet", 3), rng)
+    x, a_pool, u_pool = (rng.standard_normal((rows, 3)) for rows in (n, n_a, n_u))
+    a_pos, u_pos = draw_partner_indices(n_a, n_u, n, e, rng)
+    rows = []
+    real_features = engine.features
+
+    def counting_features(params, batch):
+        rows.append(len(batch))
+        return real_features(params, batch)
+
+    monkeypatch.setattr(engine, "features", counting_features)
+    score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
+    assert rows == [_BLOCK + n_a + _BLOCK * e, _BLOCK + _BLOCK * e, 1 + e]
+
+
+@pytest.mark.parametrize(
+    "e,n_a,n_u",
+    [
+        pytest.param(30, 30, 1633, id="pools_run_whole"),
+        pytest.param(2, 50_000, 50_000, id="pools_larger_than_draws"),
+    ],
+)
+def test_bulk_scoring_memory_is_bounded(e, n_a, n_u):
+    """One call on 20 000 rows, partner draws included, stays under 16 MB
+    of transient allocations: 27.9 MB and 47.8 MB when the pair scores
+    of all rows were gathered at once with int64 draws, and 40.4 MB for
+    the second case when all drawn pool rows ran in the first block."""
     rng = make_rng(60)
     model = build_variant(ModelConfig("prenet", 10), rng)
-    x, a_pool, u_pool = (rng.standard_normal((rows, 10)) for rows in (20_000, 30, 1633))
+    x, a_pool, u_pool = (rng.standard_normal((rows, 10)) for rows in (20_000, n_a, n_u))
     tracemalloc.start()
     try:
-        a_pos, u_pos = draw_partner_indices(30, 1633, 20_000, 30, rng)
+        a_pos, u_pos = draw_partner_indices(n_a, n_u, 20_000, e, rng)
         score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -4,7 +4,10 @@ import pytest
 from prenet.errors import NumericError
 from prenet.ndcore import (
     _CHUNK_ELEMENTS,
+    _CUMSUM_MAX_OUTPUT,
     _ROW_BLOCK,
+    _matmul_cumsum,
+    _matmul_rows,
     finite_diff_grad,
     glorot_uniform,
     make_rng,
@@ -141,7 +144,7 @@ BYTE_EXACT_CASES = [
     (8, 200, 6, "subnormal_products"),
     (8, 200, 6, "overflow_to_inf"),
     # tall shapes (m > n): the row-blocked loop, or the cumsum kernel
-    # when k >= 16 and m*n <= 512
+    # for large enough k when n == 1
     (278, 10, 20, "normal"),
     (278, 20, 2, "normal"),
     (512, 20, 1, "normal"),
@@ -158,7 +161,7 @@ BYTE_EXACT_CASES = [
     (5, 33, 1, "normal"),
     (9, 40, 3, "mixed_zeros"),
     (3, 16, 1, "all_neg_zero"),
-    # one non-finite entry beside a finite one, in every kernel
+    # one non-finite entry beside a finite one
     (8, 200, 6, "lone_overflow"),
     (64, 40, 2, "lone_overflow"),
     (300, 10, 4, "lone_overflow"),
@@ -172,6 +175,19 @@ def test_matmul_bytes_equal_triple_loop_oracle(m, k, n, fill):
     a, b = _operands(m, k, n, fill, seed=m * 7919 + k * 31 + n)
     with np.errstate(over="ignore", invalid="ignore"):
         assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "m,k,n,fill", [case for case in BYTE_EXACT_CASES if case[0] * case[2] <= _CUMSUM_MAX_OUTPUT]
+)
+def test_both_kernels_bytes_equal_triple_loop_oracle(m, k, n, fill):
+    """Outputs small enough for the cumsum kernel are checked on both
+    kernels, whichever one the shape rule picks for them."""
+    a, b = _operands(m, k, n, fill, seed=m * 7919 + k * 31 + n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = naive_matmul(a, b).tobytes()
+        assert _matmul_rows(a, b).tobytes() == expected
+        assert _matmul_cumsum(a, b).tobytes() == expected
 
 
 class TestRelu:
