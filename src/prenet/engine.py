@@ -168,7 +168,9 @@ def draw_partner_indices(
 _SCORE_BLOCK_ROWS = 2048
 
 
-def _stack_rows(pool: np.ndarray, pos: np.ndarray, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+def _stack_rows(
+    pool: np.ndarray, pos: np.ndarray, r0: int, r1: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``pool`` for the stack pass of the block of x rows
     ``r0:r1``, and the position of each of the block's draws among them.
     A pool with no more rows than there are draws runs whole in the
