@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .dataset import (
     apply_standardization,
@@ -184,7 +186,6 @@ def cmd_train(args) -> int:
         n_batches_per_epoch=args.batches_per_epoch,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
-        ensemble_size=args.ensemble_size,
         seed=args.seed,
     )
     model, report = train(split, cfg, rng=rng)
@@ -238,7 +239,7 @@ def cmd_score(args) -> int:
         )
         scores = score_with_partners(model, features, a_pool, u_pool, a_pos, u_pos)
     else:
-        scores = forward(model, (features,))[0]
+        scores = forward(model, features, [np.arange(len(features))])[0]
     write_scores_csv(args.output, scores, labels)
     print(f"scored {features.shape[0]} rows -> {args.output}")
     return 0

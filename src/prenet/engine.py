@@ -17,13 +17,14 @@ drawn rows otherwise; the choice follows from shapes alone. So at most
 ``n + min(|A|, n·E) + min(|U|, n·E)`` rows go through the stack,
 instead of ``4·n·E``. The rows of x are scored in blocks of 2048, each
 block gathering and summing its own pair scores. A pool that runs whole
-joins the first block's stack pass; a pool that runs drawn rows adds
-each block's own draws to that block's pass. So a call's transient
-memory is its partner draws, one block with at most 2048·E drawn rows
-per pool, and the stack pass over any pool that runs whole, which grows
-with that pool's size but not with n. Every matmul output entry is
-computed on its own in ascending k, and the elementwise steps are per
-row, so the scores are byte-identical to scoring each pair with
+joins the first block's stack pass when it has at most 2048 rows, and
+otherwise runs in stack-and-head passes of 2048 rows of its own, keeping
+only its head column; a pool that runs drawn rows adds each block's own
+draws to that block's pass. So a call's transient memory is its partner
+draws, one block with at most 2048·E drawn rows per pool, and one head
+column per pool that runs whole. Every matmul output entry is computed
+on its own in ascending k, and the elementwise steps are per row, so
+the scores are byte-identical to scoring each pair with
 :func:`prenet.model.forward`.
 """
 
@@ -42,6 +43,7 @@ from .model import (
     Model,
     ModelConfig,
     OptimizerState,
+    PReNetParams,
     build_variant,
     features,
     forward,
@@ -62,14 +64,11 @@ class TrainConfig:
     learning_rate: float = 0.001
     rmsprop_rho: float = 0.9
     rmsprop_eps: float = 1e-7
-    ensemble_size: int = 30
     seed: int = 0
 
     def __post_init__(self):
         if min(self.n_epochs, self.n_batches_per_epoch, self.batch_size) < 1:
             raise ValueError("epochs, batches per epoch and batch size must be positive")
-        if self.ensemble_size < 1:
-            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         divisor = 4 if self.model.is_pairwise else 2
         if self.batch_size % divisor:
             raise ValueError(
@@ -173,13 +172,33 @@ def _stack_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``pool`` for the stack pass of the block of x rows
     ``r0:r1``, and the position of each of the block's draws among them.
-    A pool with no more rows than there are draws runs whole in the
-    first block and in no later one; a larger pool runs the block's
-    drawn rows only."""
+    A pool with no more rows than there are draws runs whole: in the
+    first block's pass when it has at most ``_SCORE_BLOCK_ROWS`` rows,
+    otherwise in passes of its own (:func:`_own_pass_column`) and in no
+    block's. A larger pool runs the block's drawn rows only."""
     block = pos[r0:r1]
     if len(pool) > pos.size:
         return pool[block.ravel()], np.arange(block.size).reshape(block.shape)
-    return pool[: len(pool) if r0 == 0 else 0], block
+    if r0 == 0 and len(pool) <= _SCORE_BLOCK_ROWS:
+        return pool, block
+    return pool[:0], block
+
+
+def _own_pass_column(
+    params: PReNetParams, head: np.ndarray, pool: np.ndarray, pos: np.ndarray, s: int
+) -> np.ndarray | None:
+    """Head column s of a pool that runs whole and has more than
+    ``_SCORE_BLOCK_ROWS`` rows, from stack-and-head passes over
+    ``_SCORE_BLOCK_ROWS`` rows at a time; None for any other pool, whose
+    column the block passes give."""
+    if len(pool) > pos.size or len(pool) <= _SCORE_BLOCK_ROWS:
+        return None
+    return np.concatenate(
+        [
+            matmul(features(params, pool[i : i + _SCORE_BLOCK_ROWS]), head)[:, s]
+            for i in range(0, len(pool), _SCORE_BLOCK_ROWS)
+        ]
+    )
 
 
 def score_with_partners(
@@ -204,16 +223,18 @@ def score_with_partners(
     p = model.params
     head = head_matrix(model)
     scores = np.empty(n)
+    c_a = _own_pass_column(p, head, anomaly_pool, a_pos, 0)
+    c_u = _own_pass_column(p, head, unlabeled_pool, u_pos, 1)
     for r0 in range(0, n, _SCORE_BLOCK_ROWS):
         r1 = min(r0 + _SCORE_BLOCK_ROWS, n)
         a_rows, a_at = _stack_rows(anomaly_pool, a_pos, r0, r1)
         u_rows, u_at = _stack_rows(unlabeled_pool, u_pos, r0, r1)
         c = matmul(features(p, np.concatenate([x[r0:r1], a_rows, u_rows])), head)
         c_l, c_r = c[: r1 - r0].T
-        # a pool that ran whole in the first block keeps its columns
-        if r0 == 0 or len(a_rows):
+        # a pool that ran whole keeps its column
+        if c_a is None or len(a_rows):
             c_a = c[r1 - r0 : r1 - r0 + len(a_rows), 0]
-        if r0 == 0 or len(u_rows):
+        if c_u is None or len(u_rows):
             c_u = c[r1 - r0 + len(a_rows) :, 1]
         s_a = (c_a[a_at] + c_r[:, None]) + p.output_bias
         s_u = (c_l[:, None] + c_u[u_at]) + p.output_bias
@@ -236,7 +257,7 @@ def score_dataset(
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not model.config.is_pairwise:
-        return forward(model, (x,))[0]
+        return forward(model, x, [np.arange(len(x))])[0]
     a_pos, u_pos = draw_partner_indices(
         split.n_labeled, split.n_unlabeled, x.shape[0], ensemble_size, rng
     )

@@ -130,7 +130,6 @@ def train_config_for(spec: ExperimentSpec, input_dim: int, seed: int, variant: s
         n_batches_per_epoch=spec.n_batches_per_epoch,
         batch_size=spec.batch_size,
         learning_rate=spec.learning_rate,
-        ensemble_size=spec.ensemble_size,
         seed=seed,
     )
 

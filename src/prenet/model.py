@@ -9,8 +9,12 @@ a linear head scores the concatenated pair. Variants:
 - ``ldm``: no hidden layers, linear map on the concatenated raw pair.
 - ``a2h``: ternary targets, three hidden layers.
 
+A batch is its distinct store rows plus a ``streams x batch`` array of
+slot positions into them, so the stack runs once per distinct row.
 Gradients are exact analytic subgradients of the batch objective
-(mean absolute error plus L2 on weights); training uses RMSprop.
+(mean absolute error plus L2 on weights), summed per row first and then
+over the rows in the order :func:`objective_and_gradients` defines;
+training uses RMSprop.
 """
 
 from __future__ import annotations
@@ -162,29 +166,31 @@ def head_matrix(model: Model) -> np.ndarray:
 
 
 def forward(
-    model: Model, streams: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, list[tuple[list[np.ndarray], list[np.ndarray]]]]:
-    """Scores of a batch given as one row array per stream: ``(left,
-    right)`` for the pairwise variants, ``(x,)`` for the one-stream one.
+    model: Model, rows: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Scores of a batch given as distinct rows and a ``streams x batch``
+    array of positions into them: slot i of stream s is row
+    ``positions[s, i]``. The pairwise variants take two streams (left,
+    right), the one-stream variant one.
 
-    Every stream runs through the same shared stack; the score is
-    ``0.0 + f(stream 0)·w_0 + f(stream 1)·w_1 + b``, added in that order.
-    Returns the scores and, per stream, the stack's (activations incl.
-    input, preactivations).
+    The shared stack runs once per row, and one head product gives every
+    row's contribution ``c[r, s] = f(row r)·w_s`` to each stream. The
+    score of slot i is ``0.0 + c[positions[0, i], 0] + c[positions[1, i],
+    1] + b``, added in that order. Returns the scores and the stack's
+    (activations incl. input, preactivations) over the rows.
     """
     head = head_matrix(model)
-    if len(streams) != head.shape[1]:
+    positions = np.asarray(positions)
+    if len(positions) != head.shape[1]:
         raise ValueError(
             f"variant {model.config.variant!r} takes {head.shape[1]} stream(s), "
-            f"got {len(streams)}"
+            f"got {len(positions)}"
         )
-    stack = [
-        _forward_stack(model.params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        for x in streams
-    ]
-    scores = np.zeros(stack[0][0][0].shape[0])
-    for s, (acts, _) in enumerate(stack):
-        scores += matmul(acts[-1], head[:, s : s + 1]).ravel()
+    stack = _forward_stack(model.params, np.atleast_2d(np.asarray(rows, dtype=np.float64)))
+    c = matmul(stack[0][-1], head)
+    scores = np.zeros(positions.shape[1])
+    for s, pos in enumerate(positions):
+        scores += c[pos, s]
     scores += model.params.output_bias
     return scores, stack
 
@@ -216,43 +222,47 @@ def objective_and_gradients(
     Returns its value and exact subgradients shaped like the parameters.
 
     Subgradient conventions: d|r|/dr = 0 at r = 0 and relu' = 0 at 0.
+
+    Gradient order. The stack ran once per distinct row, so the slots
+    are first summed per row: ``G[r, s]`` is the net count of
+    ``sign(residual)`` over stream s's slots at row r, divided by the
+    batch size n. The count is an exact integer, so its order does not
+    matter. Every other sum is one :func:`~prenet.ndcore.matmul` over the
+    rows, in ascending row order: the head gradient is ``G.T @ F`` (F
+    the last activations), the deltas start at ``(G @ head.T) ⊙ relu'``
+    and go down ``delta @ W.T ⊙ relu'``, each layer's weight gradient
+    is ``X.T @ delta`` and its bias gradient ``ones(1, rows) @ delta``.
+    The output bias gradient is ``(Σ sign) / n``. The L2 term ``2·l2·W``
+    is added to each weight gradient last.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     cfg = model.config
     p = model.params
-    scores, stack = forward(model, batch.streams)
+    scores, (acts, pres) = forward(model, batch.rows, batch.positions)
     residual = scores - batch_targets(cfg, batch)
     mae = float(np.mean(np.abs(residual)))
     objective = mae + cfg.l2_lambda * _weight_square_sum(p)
-    g = np.sign(residual) / residual.shape[0]
-
-    head = head_matrix(model)
-    g_hidden_w = [np.zeros_like(w) for w in p.hidden_weights]
-    g_hidden_b = [np.zeros_like(bb) for bb in p.hidden_biases]
-    g_out_w = np.zeros_like(p.output_weights)
-    g_out_b = float(np.sum(g))
-
-    n_layers = len(p.hidden_weights)
-    for s, (acts, pres) in enumerate(stack):
-        g_out_w.reshape(len(stack), -1)[s] += matmul(acts[-1].T, g[:, None]).ravel()
-        if n_layers == 0:
-            continue
-        delta = (g[:, None] * head[None, :, s]) * (pres[-1] > 0.0)
-        for layer in range(n_layers - 1, -1, -1):
-            g_hidden_w[layer] += matmul(acts[layer].T, delta)
-            g_hidden_b[layer] += delta.sum(axis=0)
-            if layer > 0:
-                delta = matmul(delta, p.hidden_weights[layer].T) * (
-                    pres[layer - 1] > 0.0
-                )
+    sign = np.sign(residual)
+    n, n_rows = residual.shape[0], acts[0].shape[0]
+    g_rows = np.stack(
+        [np.bincount(pos, weights=sign, minlength=n_rows) for pos in batch.positions], axis=1
+    ) / n
 
     lam2 = 2.0 * cfg.l2_lambda
-    for layer, w in enumerate(p.hidden_weights):
-        g_hidden_w[layer] += lam2 * w
-    g_out_w += lam2 * p.output_weights
+    g_out_w = matmul(g_rows.T, acts[-1]).ravel() + lam2 * p.output_weights
+    g_hidden_w, g_hidden_b = [], []
+    if p.hidden_weights:
+        ones = np.ones((1, n_rows))
+        delta = matmul(g_rows, head_matrix(model).T) * (pres[-1] > 0.0)
+        for layer in range(len(p.hidden_weights) - 1, -1, -1):
+            w = p.hidden_weights[layer]
+            g_hidden_w.insert(0, matmul(acts[layer].T, delta) + lam2 * w)
+            g_hidden_b.insert(0, matmul(ones, delta).ravel())
+            if layer > 0:
+                delta = matmul(delta, w.T) * (pres[layer - 1] > 0.0)
 
-    grads = PReNetParams(g_hidden_w, g_hidden_b, g_out_w, g_out_b)
+    grads = PReNetParams(g_hidden_w, g_hidden_b, g_out_w, float(np.sum(sign) / n))
     return objective, grads
 
 

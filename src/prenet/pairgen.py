@@ -41,44 +41,67 @@ class OrdinalLabels:
 
 @dataclass
 class PairBatch:
-    """Stratified mini-batch of ordered instance pairs.
+    """Stratified mini-batch of ordered instance pairs, held as its
+    distinct store rows.
 
-    Row layout is the AA block, then AU, then UU. AU rows always carry
-    the labeled anomaly on the left. ``left_index``/``right_index``
-    point into the originating split's feature store for diagnostics.
+    ``rows`` holds each store row the batch uses once, in ascending
+    store order (``row_index``); ``positions`` is the ``2 x batch``
+    array of each slot's position among them, row 0 for the left stream
+    and row 1 for the right. Slot layout is the AA block, then AU, then
+    UU. AU slots always carry the labeled anomaly on the left.
     """
 
-    left: np.ndarray
-    right: np.ndarray
+    rows: np.ndarray
+    row_index: np.ndarray
+    positions: np.ndarray
     targets: np.ndarray
     classes: np.ndarray
-    left_index: np.ndarray
-    right_index: np.ndarray
 
     def __len__(self) -> int:
         return self.targets.shape[0]
 
     @property
-    def streams(self) -> tuple[np.ndarray, ...]:
-        return self.left, self.right
+    def left_index(self) -> np.ndarray:
+        """Store index of each slot's left member."""
+        return self.row_index[self.positions[0]]
+
+    @property
+    def right_index(self) -> np.ndarray:
+        """Store index of each slot's right member."""
+        return self.row_index[self.positions[1]]
 
 
 @dataclass
 class InstanceBatch:
     """Single-instance mini-batch for the one-stream ablation: half
-    labeled anomalies (target au), half unlabeled (target uu)."""
+    labeled anomalies (target au), half unlabeled (target uu). Held like
+    :class:`PairBatch`, with a ``1 x batch`` ``positions`` array."""
 
-    x: np.ndarray
+    rows: np.ndarray
+    row_index: np.ndarray
+    positions: np.ndarray
     targets: np.ndarray
     from_anomaly_pool: np.ndarray
-    index: np.ndarray
 
     def __len__(self) -> int:
         return self.targets.shape[0]
 
     @property
-    def streams(self) -> tuple[np.ndarray, ...]:
-        return (self.x,)
+    def index(self) -> np.ndarray:
+        """Store index of each slot."""
+        return self.row_index[self.positions[0]]
+
+
+def _distinct_rows(
+    split: WeakSupervisionSplit, slot_index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct store rows of a ``streams x batch`` array of slot
+    indices, in ascending store order, their store indices, and each
+    slot's position among them. Sorting the slots costs the same
+    whatever the size of the store."""
+    row_index, positions = np.unique(slot_index.ravel(), return_inverse=True)
+    rows = split.features.take(row_index, axis=0)
+    return rows, row_index, positions.reshape(slot_index.shape)
 
 
 def _pick(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,30 +133,13 @@ def sample_pair_batch(
     au_r = _pick(split.unlabeled_idx, n_au, rng)
     uu_l = _pick(split.unlabeled_idx, n_uu, rng)
     uu_r = _pick(split.unlabeled_idx, n_uu, rng)
-    left_index = np.concatenate([aa_l, au_l, uu_l])
-    right_index = np.concatenate([aa_r, au_r, uu_r])
-    classes = np.concatenate(
-        [
-            np.full(n_aa, PairClass.AA, dtype=np.uint8),
-            np.full(n_au, PairClass.AU, dtype=np.uint8),
-            np.full(n_uu, PairClass.UU, dtype=np.uint8),
-        ]
+    slot_index = np.stack(
+        [np.concatenate([aa_l, au_l, uu_l]), np.concatenate([aa_r, au_r, uu_r])]
     )
-    targets = np.concatenate(
-        [
-            np.full(n_aa, labels.aa),
-            np.full(n_au, labels.au),
-            np.full(n_uu, labels.uu),
-        ]
-    )
-    return PairBatch(
-        left=split.features[left_index],
-        right=split.features[right_index],
-        targets=targets,
-        classes=classes,
-        left_index=left_index,
-        right_index=right_index,
-    )
+    counts = [n_aa, n_au, n_uu]
+    classes = np.repeat(np.array([PairClass.AA, PairClass.AU, PairClass.UU], np.uint8), counts)
+    targets = np.repeat([labels.aa, labels.au, labels.uu], counts)
+    return PairBatch(*_distinct_rows(split, slot_index), targets=targets, classes=classes)
 
 
 def sample_instance_batch(
@@ -148,16 +154,13 @@ def sample_instance_batch(
     half = batch_size // 2
     a_idx = _pick(split.labeled_idx, half, rng)
     u_idx = _pick(split.unlabeled_idx, half, rng)
-    index = np.concatenate([a_idx, u_idx])
+    slot_index = np.concatenate([a_idx, u_idx])[None, :]
     targets = np.concatenate([np.full(half, labels.au), np.full(half, labels.uu)])
     from_anomaly = np.concatenate(
         [np.ones(half, dtype=bool), np.zeros(half, dtype=bool)]
     )
     return InstanceBatch(
-        x=split.features[index],
-        targets=targets,
-        from_anomaly_pool=from_anomaly,
-        index=index,
+        *_distinct_rows(split, slot_index), targets=targets, from_anomaly_pool=from_anomaly
     )
 
 

@@ -86,12 +86,11 @@ class TestCriterion1Gradients:
         else:
             batch = _pair_batch(2, 2, 4, 5, rng)
         # exclude draws with any |.| or relu kink near the base point
-        scores, stack = forward(model, batch.streams)
+        scores, (_, pres) = forward(model, batch.rows, batch.positions)
         if np.min(np.abs(scores - batch_targets(cfg, batch))) < 1e-3:
             return None
-        for _, pres in stack:
-            if any(p.size and np.min(np.abs(p)) < 1e-3 for p in pres):
-                return None
+        if any(p.size and np.min(np.abs(p)) < 1e-3 for p in pres):
+            return None
         analytic = params_to_vector(objective_and_gradients(model, batch)[1])
         numeric = finite_diff_grad(
             lambda v: objective_and_gradients(
@@ -141,12 +140,11 @@ def _pair_batch(n_aa, n_au, n_uu, dim, rng):
     )
     b = n_aa + n_au + n_uu
     return PairBatch(
-        left=rng.standard_normal((b, dim)),
-        right=rng.standard_normal((b, dim)),
+        rows=rng.standard_normal((2 * b, dim)),
+        row_index=np.arange(2 * b),
+        positions=np.arange(2 * b).reshape(2, b),
         targets=targets,
         classes=classes,
-        left_index=np.zeros(b, dtype=np.int64),
-        right_index=np.zeros(b, dtype=np.int64),
     )
 
 
@@ -155,12 +153,13 @@ def _instance_batch(n, dim, rng):
 
     half = n // 2
     return InstanceBatch(
-        x=rng.standard_normal((n, dim)),
+        rows=rng.standard_normal((n, dim)),
+        row_index=np.arange(n),
+        positions=np.arange(n)[None, :],
         targets=np.concatenate([np.full(half, LABELS.au), np.full(n - half, LABELS.uu)]),
         from_anomaly_pool=np.concatenate(
             [np.ones(half, dtype=bool), np.zeros(n - half, dtype=bool)]
         ),
-        index=np.zeros(n, dtype=np.int64),
     )
 
 

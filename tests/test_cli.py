@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prenet
 from prenet.cli import main
 from prenet.engine import read_scores_csv
 from prenet.model import load_checkpoint
@@ -258,10 +260,14 @@ class TestHelpAndExitCodes:
         assert exc.value.code == 2
 
     def test_console_script_entry(self):
+        # the child imports the same package, installed or not
+        source = str(Path(prenet.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "prenet.cli", "theory", "--eps", "0.05"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "0.0975" in proc.stdout

@@ -39,7 +39,7 @@ def small_split(n_normal=60, n_anomaly=20, n_labeled=5, eps=0.0, dim=3, seed=0, 
 
 def pair_score(model, a, b):
     """Score of one ordered pair of 1-D rows."""
-    return float(forward(model, (a[None, :], b[None, :]))[0][0])
+    return float(forward(model, np.stack([a, b]), [[0], [1]])[0][0])
 
 
 def tiny_cfg(variant="prenet", dim=3, **kw):
@@ -241,7 +241,7 @@ class TestScoring:
         model = build_variant(ModelConfig("osnet", 3), make_rng(16))
         x = make_rng(17).standard_normal((6, 3))
         scores = score_dataset(model, x, split, 30, make_rng(18))
-        assert np.array_equal(scores, forward(model, (x,))[0])
+        assert np.array_equal(scores, forward(model, x, [np.arange(6)])[0])
         # no randomness consumed: any seed gives the same result
         assert np.array_equal(scores, score_dataset(model, x, split, 30, make_rng(99)))
 
@@ -268,9 +268,10 @@ def unfactored_scores(model, x, anomaly_pool, unlabeled_pool, a_pos, u_pos):
     each anchor repeated once per partner."""
     n, e = a_pos.shape
     anchors = np.repeat(x, e, axis=0)
-    s_a = forward(model, (anomaly_pool[a_pos.ravel()], anchors))[0].reshape(n, e)
-    s_u = forward(model, (anchors, unlabeled_pool[u_pos.ravel()]))[0].reshape(n, e)
-    return (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
+    pairs = np.arange(2 * n * e).reshape(2, n * e)
+    s_a = forward(model, np.concatenate([anomaly_pool[a_pos.ravel()], anchors]), pairs)[0]
+    s_u = forward(model, np.concatenate([anchors, unlabeled_pool[u_pos.ravel()]]), pairs)[0]
+    return (s_a.reshape(n, e).sum(axis=1) + s_u.reshape(n, e).sum(axis=1)) / (2.0 * e)
 
 
 _BLOCK = engine._SCORE_BLOCK_ROWS
@@ -301,6 +302,8 @@ FACTORED_CASES = {
     "x_two_blocks_plus_one": ("prenet", 3, 2 * _BLOCK + 1, 2, 5, 50, "normal", 0.5),
     "x_blocks_drawn_pool": ("prenet", 3, _BLOCK + 1, 1, 3, 3 * _BLOCK, "normal", 0.5),
     "x_blocks_drawn_pools": ("ldm", 3, 2 * _BLOCK + 1, 1, 3 * _BLOCK, 3 * _BLOCK, "normal", 0.5),
+    # pools that run whole but exceed a block run in passes of their own
+    "x_whole_pools_own_passes": ("prenet", 3, 150, 30, 2 * _BLOCK + 37, _BLOCK + 50, "normal", 0.5),
 }
 
 
@@ -369,24 +372,48 @@ def test_blocked_scoring_stack_passes(monkeypatch):
     assert rows == [_BLOCK + n_a + _BLOCK * e, _BLOCK + _BLOCK * e, 1 + e]
 
 
+def test_large_whole_pool_stack_passes(monkeypatch):
+    """A pool that runs whole but has more rows than a block runs in
+    block-sized passes of its own before the blocks of x; a pool of at
+    most a block still joins the first block's pass."""
+    rng = make_rng(52)
+    n, e, n_a, n_u = 150, 30, 2 * _BLOCK + 1, 30
+    model = build_variant(ModelConfig("prenet", 3), rng)
+    x, a_pool, u_pool = (rng.standard_normal((rows, 3)) for rows in (n, n_a, n_u))
+    a_pos, u_pos = draw_partner_indices(n_a, n_u, n, e, rng)
+    rows = []
+    real_features = engine.features
+
+    def counting_features(params, batch):
+        rows.append(len(batch))
+        return real_features(params, batch)
+
+    monkeypatch.setattr(engine, "features", counting_features)
+    score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
+    assert rows == [_BLOCK, _BLOCK, 1, n + n_u]
+
+
 @pytest.mark.parametrize(
-    "e,n_a,n_u",
+    "n,e,n_a,n_u",
     [
-        pytest.param(30, 30, 1633, id="pools_run_whole"),
-        pytest.param(2, 50_000, 50_000, id="pools_larger_than_draws"),
+        pytest.param(20_000, 30, 30, 1633, id="pools_run_whole"),
+        pytest.param(20_000, 2, 50_000, 50_000, id="pools_larger_than_draws"),
+        pytest.param(4000, 30, 100_000, 100_000, id="large_pools_run_whole"),
     ],
 )
-def test_bulk_scoring_memory_is_bounded(e, n_a, n_u):
-    """One call on 20 000 rows, partner draws included, stays under 16 MB
-    of transient allocations: 27.9 MB and 47.8 MB when the pair scores
-    of all rows were gathered at once with int64 draws, and 40.4 MB for
-    the second case when all drawn pool rows ran in the first block."""
+def test_bulk_scoring_memory_is_bounded(n, e, n_a, n_u):
+    """One call, partner draws included, stays under 16 MB of transient
+    allocations: 27.9 MB and 47.8 MB for the first two cases when the
+    pair scores of all rows were gathered at once with int64 draws,
+    40.4 MB for the second when all drawn pool rows ran in the first
+    block, and 81.9 MB for the third when a pool that runs whole ran in
+    one stack pass however large."""
     rng = make_rng(60)
     model = build_variant(ModelConfig("prenet", 10), rng)
-    x, a_pool, u_pool = (rng.standard_normal((rows, 10)) for rows in (20_000, n_a, n_u))
+    x, a_pool, u_pool = (rng.standard_normal((rows, 10)) for rows in (n, n_a, n_u))
     tracemalloc.start()
     try:
-        a_pos, u_pos = draw_partner_indices(n_a, n_u, 20_000, e, rng)
+        a_pos, u_pos = draw_partner_indices(n_a, n_u, n, e, rng)
         score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

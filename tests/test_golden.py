@@ -7,8 +7,10 @@ intended numeric change, and record why in CHANGES.md. The digests were
 recorded with NumPy 2.4 on x86-64; a NumPy release that changes the
 PCG64 ``Generator`` streams would change them too.
 
-The training runs use batch size 512, so the backward products run
-with shared dimension 512, the shape the large-k matmul kernel serves.
+The training runs use batch size 512. Training sums each batch's slots
+per distinct store row first, so the backward products' shared
+dimension is the number of distinct rows in a batch (269-278 in these
+runs), not 512; that still runs the large-k matmul kernel.
 """
 
 import hashlib
@@ -24,10 +26,10 @@ TRAIN = [
 ]
 
 GOLDEN = {
-    "prenet_checkpoint": "6ec3f924ba49c1f97dc41665c49117be09976c20173c391d2dce04c0f3ef47bc",
-    "a2h_checkpoint": "8f9bc20f896fe4db1aaf9ef292d3ee65ac0989f7dd5fdd0651701cd1f87fa007",
-    "osnet_checkpoint": "320f0f3e9445de8c367bbdb54cecae0718a9a547265477c6d4c8b24eda784f3d",
-    "prenet_scores": "fd8fe7e4923dd1bf437590cb1dfee51ebcfa5b420bf68b5f61f54dd8c68b99f1",
+    "prenet_checkpoint": "2eb9367affc133d7afd98aed2a7d010b7cfdddbf4168eaa4bd9af0b92f8e064a",
+    "a2h_checkpoint": "53948a7598243bd504c7e96b1f9d28de02ac28a338e47db4c5dce2fb05c53b9c",
+    "osnet_checkpoint": "af75c7d187ea506aafa18037840317f3dd6a55d7585851bd953a66082ddef242",
+    "prenet_scores": "6bcb9474d746162db18456fb5eabe7de84a42d32f70d6925ecbf7638f820836a",
     "experiment_report": "59b799457b7fecaade6ff4d76718f75dabe64a66aa27793b356c15cff814d7d4",
 }
 

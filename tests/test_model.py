@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prenet.dataset import WeakSupervisionSplit
 from prenet.errors import NumericError
 from prenet.model import (
     Model,
@@ -20,14 +21,21 @@ from prenet.model import (
     vector_to_params,
 )
 from prenet.ndcore import finite_diff_grad, make_rng
-from prenet.pairgen import InstanceBatch, OrdinalLabels, PairBatch, PairClass
+from prenet.pairgen import (
+    InstanceBatch,
+    OrdinalLabels,
+    PairBatch,
+    PairClass,
+    sample_instance_batch,
+    sample_pair_batch,
+)
 
 LABELS = OrdinalLabels()
 
 
 def pair_score(model, a, b):
     """Score of one ordered pair of 1-D rows."""
-    return float(forward(model, (a[None, :], b[None, :]))[0][0])
+    return float(forward(model, np.stack([a, b]), [[0], [1]])[0][0])
 
 
 def objective(model, batch):
@@ -35,6 +43,7 @@ def objective(model, batch):
 
 
 def make_pair_batch(n_aa, n_au, n_uu, dim, rng, labels=LABELS):
+    """A batch of all-distinct random rows: slot i pairs row i with row b + i."""
     b = n_aa + n_au + n_uu
     classes = np.concatenate(
         [
@@ -47,24 +56,24 @@ def make_pair_batch(n_aa, n_au, n_uu, dim, rng, labels=LABELS):
         [np.full(n_aa, labels.aa), np.full(n_au, labels.au), np.full(n_uu, labels.uu)]
     )
     return PairBatch(
-        left=rng.standard_normal((b, dim)),
-        right=rng.standard_normal((b, dim)),
+        rows=rng.standard_normal((2 * b, dim)),
+        row_index=np.arange(2 * b),
+        positions=np.arange(2 * b).reshape(2, b),
         targets=targets,
         classes=classes,
-        left_index=np.zeros(b, dtype=np.int64),
-        right_index=np.zeros(b, dtype=np.int64),
     )
 
 
 def make_instance_batch(n, dim, rng, labels=LABELS):
     half = n // 2
     return InstanceBatch(
-        x=rng.standard_normal((n, dim)),
+        rows=rng.standard_normal((n, dim)),
+        row_index=np.arange(n),
+        positions=np.arange(n)[None, :],
         targets=np.concatenate([np.full(half, labels.au), np.full(n - half, labels.uu)]),
         from_anomaly_pool=np.concatenate(
             [np.ones(half, dtype=bool), np.zeros(n - half, dtype=bool)]
         ),
-        index=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -72,6 +81,22 @@ def batch_for(config, dim, rng):
     if config.variant == "osnet":
         return make_instance_batch(8, dim, rng, config.labels)
     return make_pair_batch(2, 2, 4, dim, rng, config.labels)
+
+
+def sampled_batch_for(config, dim, rng):
+    """A sampled batch of 8 slots from a store whose A pool has 2 rows
+    and whose U pool has 6, so slots repeat rows."""
+    split = WeakSupervisionSplit(
+        features=rng.standard_normal((8, dim)),
+        true_labels=np.array([0, 1, 0, 0, 1, 0, 0, 0]),
+        labeled_idx=np.array([1, 4]),
+        unlabeled_idx=np.array([0, 2, 3, 5, 6, 7]),
+        contamination_rate=0.0,
+    )
+    sample = sample_pair_batch if config.is_pairwise else sample_instance_batch
+    batch = sample(split, 8, config.labels, rng)
+    assert len(batch.rows) < 8 * len(batch.positions)
+    return batch
 
 
 class TestConfig:
@@ -169,7 +194,7 @@ class TestForward:
         model.params.output_weights[:] = 0.0
         model.params.output_bias = 4.0
         rng = make_rng(3)
-        s, _ = forward(model, (rng.standard_normal((5, 3)), rng.standard_normal((5, 3))))
+        s, _ = forward(model, rng.standard_normal((10, 3)), np.arange(10).reshape(2, 5))
         assert np.array_equal(s, np.full(5, 4.0))
 
     def test_stream_swap_symmetry(self):
@@ -198,9 +223,9 @@ class TestForward:
         pair_model = build_variant(ModelConfig("prenet", 3), make_rng(0))
         single_model = build_variant(ModelConfig("osnet", 3), make_rng(0))
         with pytest.raises(ValueError, match="takes 2 stream"):
-            forward(pair_model, (np.ones((2, 3)),))
+            forward(pair_model, np.ones((2, 3)), [[0, 1]])
         with pytest.raises(ValueError, match="takes 1 stream"):
-            forward(single_model, (np.ones((2, 3)), np.ones((2, 3))))
+            forward(single_model, np.ones((2, 3)), [[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="takes 1 stream"):
             objective_and_gradients(single_model, make_pair_batch(1, 1, 2, 3, make_rng(1)))
 
@@ -221,7 +246,7 @@ class TestLossAndObjective:
         cfg = ModelConfig("prenet", 3, l2_lambda=0.0)
         model = build_variant(cfg, rng)
         batch = make_pair_batch(2, 2, 4, 3, rng)
-        scores, _ = forward(model, batch.streams)
+        scores, _ = forward(model, batch.rows, batch.positions)
         assert objective(model, batch) == pytest.approx(
             np.mean(np.abs(batch.targets - scores)), rel=1e-15
         )
@@ -261,25 +286,24 @@ def relative_error(analytic, numeric):
 
 def far_from_kinks(model, batch, margin):
     """Reject draws where a |.| or relu kink sits within `margin`."""
-    scores, stack = forward(model, batch.streams)
+    scores, (_, pres) = forward(model, batch.rows, batch.positions)
     targets = batch_targets(model.config, batch)
     if np.min(np.abs(scores - targets)) < margin:
         return False
-    for _, pres in stack:
-        for pre in pres:
-            if pre.size and np.min(np.abs(pre)) < margin:
-                return False
+    for pre in pres:
+        if pre.size and np.min(np.abs(pre)) < margin:
+            return False
     return True
 
 
 class TestGradients:
     dims = {"prenet": (3,), "bor": (3,), "osnet": (3,), "ldm": (), "a2h": (4, 3, 2)}
 
-    def check_variant(self, variant, seed):
+    def check_variant(self, variant, seed, make_batch=batch_for):
         rng = make_rng(seed)
         cfg = ModelConfig(variant, 5, hidden_dims=self.dims[variant], l2_lambda=0.01)
         model = build_variant(cfg, rng)
-        batch = batch_for(cfg, 5, rng)
+        batch = make_batch(cfg, 5, rng)
         if not far_from_kinks(model, batch, 1e-3):
             return None
         analytic = params_to_vector(objective_and_gradients(model, batch)[1])
@@ -303,11 +327,25 @@ class TestGradients:
             assert err < 1e-4, f"{variant} seed {seed - 1}: rel err {err}"
             checked += 1
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradients_match_finite_differences_on_repeated_rows(self, variant):
+        """Sampled batches whose A pool has two rows, so several slots
+        share a row and its gradient terms are summed per row first."""
+        checked = 0
+        seed = 0
+        while checked < 4:
+            err = self.check_variant(variant, seed, sampled_batch_for)
+            seed += 1
+            if err is None:
+                continue
+            assert err < 1e-4, f"{variant} seed {seed - 1}: rel err {err}"
+            checked += 1
+
     def test_zero_residual_zero_lambda_gives_zero_gradients(self):
         cfg = ModelConfig("prenet", 3, l2_lambda=0.0)
         model = build_variant(cfg, make_rng(0))
         batch = make_pair_batch(1, 1, 2, 3, make_rng(1))
-        scores, _ = forward(model, batch.streams)
+        scores, _ = forward(model, batch.rows, batch.positions)
         batch.targets = scores.copy()  # every pair already perfectly fitted
         grads = objective_and_gradients(model, batch)[1]
         assert np.array_equal(params_to_vector(grads), np.zeros(model.params.n_params))
@@ -317,7 +355,7 @@ class TestGradients:
         cfg = ModelConfig("prenet", 3, l2_lambda=lam)
         model = build_variant(cfg, make_rng(2))
         batch = make_pair_batch(1, 1, 2, 3, make_rng(3))
-        scores, _ = forward(model, batch.streams)
+        scores, _ = forward(model, batch.rows, batch.positions)
         batch.targets = scores.copy()
         grads = objective_and_gradients(model, batch)[1]
         assert np.allclose(grads.hidden_weights[0], 2 * lam * model.params.hidden_weights[0])
@@ -332,7 +370,7 @@ class TestGradients:
             model = build_variant(cfg, rng)
             batch = batch_for(cfg, 5, rng)
             obj, _ = objective_and_gradients(model, batch)
-            scores, _ = forward(model, batch.streams)
+            scores, _ = forward(model, batch.rows, batch.positions)
             mae = float(np.mean(np.abs(batch_targets(cfg, batch) - scores)))
             r = sum(float(np.sum(w * w)) for w in model.params.hidden_weights)
             r += float(np.sum(model.params.output_weights ** 2))

@@ -69,10 +69,29 @@ class TestSamplePairBatch:
     def test_indices_match_features(self):
         split = make_split()
         batch = sample_pair_batch(split, 32, LABELS, make_rng(3))
-        assert np.array_equal(batch.left, split.features[batch.left_index])
-        assert np.array_equal(batch.right, split.features[batch.right_index])
-        left, right = batch.streams
-        assert left is batch.left and right is batch.right
+        assert np.array_equal(batch.rows, split.features[batch.row_index])
+        assert np.all(np.diff(batch.row_index) > 0)  # distinct, ascending store order
+        assert batch.positions.shape == (2, 32)
+        assert np.array_equal(batch.rows[batch.positions[0]], split.features[batch.left_index])
+        assert np.array_equal(batch.rows[batch.positions[1]], split.features[batch.right_index])
+        used = np.union1d(batch.left_index, batch.right_index)
+        assert np.array_equal(batch.row_index, used)
+
+    def test_slot_indices_equal_direct_draws(self):
+        """Deduplication leaves the drawn pairs and the generator as they
+        were: slot i pairs the store rows the six pool draws give."""
+        split = make_split(n_labeled=3)
+        rng, reference = make_rng(4), make_rng(4)
+        batch = sample_pair_batch(split, 16, LABELS, rng)
+        a, u = split.labeled_idx, split.unlabeled_idx
+        draws = [
+            pool[reference.integers(0, pool.size, size=n)]
+            for pool, n in ((a, 4), (a, 4), (a, 4), (u, 4), (u, 8), (u, 8))
+        ]
+        assert np.array_equal(batch.left_index, np.concatenate(draws[0::2]))
+        assert np.array_equal(batch.right_index, np.concatenate(draws[1::2]))
+        assert len(batch.rows) < 32  # three A rows fill eight A slots
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_singleton_pools(self):
         split = make_split()
@@ -122,8 +141,9 @@ class TestSampleInstanceBatch:
         a_set = set(split.labeled_idx.tolist())
         for i, from_a in zip(batch.index, batch.from_anomaly_pool):
             assert (i in a_set) == bool(from_a)
-        (x,) = batch.streams
-        assert x is batch.x
+        assert batch.positions.shape == (1, 32)
+        assert np.all(np.diff(batch.row_index) > 0)
+        assert np.array_equal(batch.rows[batch.positions[0]], split.features[batch.index])
 
     def test_odd_batch_rejected(self):
         with pytest.raises(ValueError):
