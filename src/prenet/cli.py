@@ -14,45 +14,28 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .dataset import (
-    apply_standardization,
-    binary_labels,
-    build_weak_supervision,
-    load_csv,
-    load_feature_csv,
-    save_csv,
-    standardize_split,
-)
-from .engine import (
-    TrainConfig,
-    draw_partner_indices,
-    read_scores_csv,
-    score_with_partners,
-    train,
-    write_scores_csv,
-)
+from .dataset import apply_standardization, binary_labels, load_csv, load_feature_csv, save_csv
+from .engine import read_scores_csv, score_rows, train, write_scores_csv
 from .errors import DataError, NumericError
 from .harness import (
     ExperimentSpec,
     SyntheticSpec,
+    ablation_report_json,
+    build_world,
     experiment_report_json,
     generate_synthetic,
+    load_source,
     parse_spec_file,
     run_ablation_suite,
     run_contamination_sweep,
     run_experiment,
+    sweep_report_json,
+    train_config_for,
+    train_report_json,
 )
 from .metrics import evaluate
-from .model import (
-    VARIANTS,
-    ModelConfig,
-    forward,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import VARIANTS, load_checkpoint, save_checkpoint
 from .ndcore import make_rng
 from .pairgen import (
     OrdinalLabels,
@@ -88,21 +71,18 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="labeled CSV dataset")
     p.add_argument("--label-column", default="label", help="name of the label column")
     p.add_argument("--anomaly-value", default=None,
                    help="label value to treat as the anomaly class")
     p.add_argument("--variant", choices=VARIANTS, default="prenet",
                    help="model variant")
-    p.add_argument("--runs", type=int, default=10, help="independent runs to average")
     p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--n-labeled", type=int, default=60,
                    help="labeled anomalies available for training")
     p.add_argument("--contamination", type=float, default=0.02,
                    help="anomaly fraction of the unlabeled pool")
-    p.add_argument("--train-fraction", type=float, default=0.8,
-                   help="fraction of each class kept for training")
     p.add_argument("--no-standardize", action="store_true",
                    help="skip z-scoring features with training statistics")
     p.add_argument("--labels", default="8,4,0", help="ordinal targets aa,au,uu")
@@ -117,23 +97,32 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                    help="pairs (or instances) per mini-batch")
     p.add_argument("--learning-rate", type=float, default=0.001,
                    help="RMSprop learning rate")
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    _add_training_flags(p)
+    p.add_argument("--runs", type=int, default=10, help="independent runs to average")
+    p.add_argument("--train-fraction", type=float, default=0.8,
+                   help="fraction of each class kept for training")
     p.add_argument("--ensemble-size", type=int, default=30,
                    help="partner draws per side when scoring")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for independent runs")
+    p.add_argument("--spec-file", default=None,
+                   help="flat key=value file; explicit flags override it")
 
 
 def _spec_from_args(args) -> ExperimentSpec:
+    """The spec of the training flags; the experiment flags, where the
+    command has them, replace the run count, split and ensemble size."""
     if not args.data:
-        raise ValueError("--data is required (directly or via --spec-file)")
-    return ExperimentSpec(
+        raise ValueError("--data is required")
+    spec = ExperimentSpec(
         source=args.data,
         variant=args.variant,
-        n_runs=args.runs,
         base_seed=args.seed,
         n_labeled=args.n_labeled,
         contamination=args.contamination,
-        train_fraction=args.train_fraction,
         standardize=not args.no_standardize,
         label_column=args.label_column,
         anomaly_value=args.anomaly_value,
@@ -144,6 +133,13 @@ def _spec_from_args(args) -> ExperimentSpec:
         n_batches_per_epoch=args.batches_per_epoch,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
+    )
+    if "runs" not in args:
+        return spec
+    return replace(
+        spec,
+        n_runs=args.runs,
+        train_fraction=args.train_fraction,
         ensemble_size=args.ensemble_size,
     )
 
@@ -163,32 +159,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if not args.data:
-        raise ValueError("--data is required")
-    ds = load_csv(args.data, args.label_column, args.anomaly_value)
-    labels = _parse_labels(args.labels)
-    rng = make_rng(args.seed)
-    split = build_weak_supervision(
-        ds, args.n_labeled, args.contamination, rng, seed=args.seed
-    )
-    mean = scale = None
-    if not args.no_standardize:
-        split, mean, scale = standardize_split(split)
-    cfg = TrainConfig(
-        model=ModelConfig(
-            variant=args.variant,
-            input_dim=ds.dim,
-            hidden_dims=_parse_hidden_dims(args.hidden_dims),
-            l2_lambda=args.l2_lambda,
-            labels=labels,
-        ),
-        n_epochs=args.epochs,
-        n_batches_per_epoch=args.batches_per_epoch,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
-    model, report = train(split, cfg, rng=rng)
+    spec = _spec_from_args(args)
+    ds = load_source(spec)
+    seed = spec.base_seed
+    rng = make_rng(seed)
+    split, mean, scale = build_world(ds, spec, seed, rng)
+    model, report = train(split, train_config_for(spec, ds.dim, seed), rng=rng)
     save_checkpoint(
         args.output,
         model,
@@ -197,20 +173,10 @@ def cmd_train(args) -> int:
         anomaly_pool=split.a_features,
         unlabeled_pool=split.u_features,
     )
-    report_path = args.report or f"{args.output}.train.json"
-    _write_json(
-        report_path,
-        {
-            "seed": report.seed,
-            "n_epochs": report.n_epochs,
-            "n_batches_per_epoch": report.n_batches_per_epoch,
-            "objective_trace": report.objective_trace,
-            "wall_seconds": report.wall_seconds,
-        },
-    )
+    _write_json(args.report or f"{args.output}.train.json", train_report_json(report))
     means = report.epoch_means()
     print(
-        f"trained {args.variant} on {ds.n} rows: epoch objective "
+        f"trained {spec.variant} on {ds.n} rows: epoch objective "
         f"{means[0]:.4f} -> {means[-1]:.4f}, checkpoint {args.output}"
     )
     return 0
@@ -227,19 +193,10 @@ def cmd_score(args) -> int:
         )
     if extras["mean"] is not None:
         features = apply_standardization(features, extras["mean"], extras["scale"])
-    rng = make_rng(args.seed)
-    if model.config.is_pairwise:
-        a_pool, u_pool = extras["anomaly_pool"], extras["unlabeled_pool"]
-        if a_pool is None:
-            raise DataError(
-                f"{args.checkpoint} carries no partner pools; cannot score pairs"
-            )
-        a_pos, u_pos = draw_partner_indices(
-            len(a_pool), len(u_pool), features.shape[0], args.ensemble_size, rng
-        )
-        scores = score_with_partners(model, features, a_pool, u_pool, a_pos, u_pos)
-    else:
-        scores = forward(model, features, [np.arange(len(features))])[0]
+    a_pool, u_pool = extras["anomaly_pool"], extras["unlabeled_pool"]
+    if model.config.is_pairwise and a_pool is None:
+        raise DataError(f"{args.checkpoint} carries no partner pools; cannot score pairs")
+    scores = score_rows(model, features, a_pool, u_pool, args.ensemble_size, make_rng(args.seed))
     write_scores_csv(args.output, scores, labels)
     print(f"scored {features.shape[0]} rows -> {args.output}")
     return 0
@@ -280,21 +237,12 @@ def cmd_experiment(args) -> int:
 def cmd_ablate(args) -> int:
     spec = _spec_from_args(args)
     results = run_ablation_suite(spec, jobs=args.jobs)
-    doc = {
-        "dataset": spec.dataset_name(),
-        "seeds": [spec.base_seed + i for i in range(spec.n_runs)],
-        "generated_at": _timestamp(),
-        "variants": {},
-    }
     for variant, agg in results.items():
-        doc["variants"][variant] = experiment_report_json(
-            replace(spec, variant=variant), agg
-        )
         print(
             f"{variant:7s} auc_roc {agg.auc_roc_mean:.4f}±{agg.auc_roc_std:.4f}  "
             f"auc_pr {agg.auc_pr_mean:.4f}±{agg.auc_pr_std:.4f}"
         )
-    _write_json(args.output, doc)
+    _write_json(args.output, ablation_report_json(spec, results, {"generated_at": _timestamp()}))
     return 0
 
 
@@ -302,23 +250,12 @@ def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     rates = [float(r) for r in args.rates.split(",")]
     results = run_contamination_sweep(spec, rates, jobs=args.jobs)
-    doc = {
-        "dataset": spec.dataset_name(),
-        "variant": spec.variant,
-        "generated_at": _timestamp(),
-        "rates": {},
-    }
     for rate, agg in results.items():
-        doc["rates"][repr(rate)] = {
-            "auc_roc": {"mean": agg.auc_roc_mean, "std": agg.auc_roc_std},
-            "auc_pr": {"mean": agg.auc_pr_mean, "std": agg.auc_pr_std},
-            "runs": [r.as_dict() for r in agg.runs],
-        }
         print(
             f"contamination {rate:g}: auc_roc {agg.auc_roc_mean:.4f}  "
             f"auc_pr {agg.auc_pr_mean:.4f}"
         )
-    _write_json(args.output, doc)
+    _write_json(args.output, sweep_report_json(spec, results, {"generated_at": _timestamp()}))
     return 0
 
 
@@ -365,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train on a labeled CSV (whole file is the training pool)")
-    _add_experiment_flags(p)
+    _add_training_flags(p)
     p.add_argument("-o", "--output", required=True, help="checkpoint JSON path")
     p.add_argument("--report", default=None,
                    help="training report JSON path (default: <checkpoint>.train.json)")
@@ -394,22 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="multi-run split/train/score/eval protocol")
     _add_experiment_flags(p)
-    p.add_argument("--spec-file", default=None,
-                   help="flat key=value file; explicit flags override it")
     p.add_argument("-o", "--output", required=True, help="aggregate report JSON path")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("ablate", help="run all model variants under shared splits")
     _add_experiment_flags(p)
-    p.add_argument("--spec-file", default=None,
-                   help="flat key=value file; explicit flags override it")
     p.add_argument("-o", "--output", required=True, help="per-variant report JSON path")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="repeat an experiment across contamination rates")
     _add_experiment_flags(p)
-    p.add_argument("--spec-file", default=None,
-                   help="flat key=value file; explicit flags override it")
     p.add_argument("--rates", default="0,0.02,0.05,0.1",
                    help="comma-separated contamination rates")
     p.add_argument("-o", "--output", required=True, help="sweep report JSON path")

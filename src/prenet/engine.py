@@ -62,8 +62,6 @@ class TrainConfig:
     n_batches_per_epoch: int = 20
     batch_size: int = 512
     learning_rate: float = 0.001
-    rmsprop_rho: float = 0.9
-    rmsprop_eps: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
@@ -112,9 +110,7 @@ def train(
         rng = make_rng(cfg.seed)
     started = time.perf_counter()
     model = build_variant(cfg.model, rng)
-    state = OptimizerState.for_params(
-        model.params, cfg.learning_rate, cfg.rmsprop_rho, cfg.rmsprop_eps
-    )
+    state = OptimizerState.for_params(model.params, cfg.learning_rate)
     sample = sample_pair_batch if cfg.model.is_pairwise else sample_instance_batch
     trace: list[float] = []
     for _ in range(cfg.n_epochs):
@@ -242,6 +238,30 @@ def score_with_partners(
     return scores
 
 
+def score_rows(
+    model: Model,
+    x: np.ndarray,
+    anomaly_pool: np.ndarray,
+    unlabeled_pool: np.ndarray,
+    ensemble_size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Ensemble score per row of ``x``, with ``ensemble_size`` partners
+    per side drawn from the anomaly and unlabeled pools.
+
+    The one-stream variant evaluates each instance directly (its score
+    is the mean of identical single-instance evaluations, so no partner
+    randomness is consumed and the pools are not read).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not model.config.is_pairwise:
+        return forward(model, x, [np.arange(len(x))])[0]
+    a_pos, u_pos = draw_partner_indices(
+        len(anomaly_pool), len(unlabeled_pool), x.shape[0], ensemble_size, rng
+    )
+    return score_with_partners(model, x, anomaly_pool, unlabeled_pool, a_pos, u_pos)
+
+
 def score_dataset(
     model: Model,
     x: np.ndarray,
@@ -249,19 +269,8 @@ def score_dataset(
     ensemble_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ensemble score per row of ``x``, with partners from the split's A and U.
-
-    The one-stream variant evaluates each instance directly (its score
-    is the mean of identical single-instance evaluations, so no partner
-    randomness is consumed).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if not model.config.is_pairwise:
-        return forward(model, x, [np.arange(len(x))])[0]
-    a_pos, u_pos = draw_partner_indices(
-        split.n_labeled, split.n_unlabeled, x.shape[0], ensemble_size, rng
-    )
-    return score_with_partners(model, x, split.a_features, split.u_features, a_pos, u_pos)
+    """:func:`score_rows` with partners from the split's A and U."""
+    return score_rows(model, x, split.a_features, split.u_features, ensemble_size, rng)
 
 
 def write_scores_csv(path, scores: np.ndarray, true_labels: np.ndarray | None = None) -> None:

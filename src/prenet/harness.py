@@ -4,13 +4,17 @@ One run: stratified 80/20 split -> weak-supervision world -> optional
 standardization -> train -> score test set -> metrics. Run i of an
 experiment uses seed ``base_seed + i``, so any run is reproducible in
 isolation; the split construction consumes the seeded generator first,
-so every variant sees identical worlds under shared seeds.
+so every variant sees identical worlds under shared seeds. ``prenet
+train`` builds its world and training config with the same functions,
+:func:`build_world` and :func:`train_config_for`, on the whole file.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -18,6 +22,7 @@ import numpy as np
 
 from .dataset import (
     LabeledDataset,
+    WeakSupervisionSplit,
     build_weak_supervision,
     load_csv,
     standardize_split,
@@ -25,7 +30,7 @@ from .dataset import (
 )
 from .engine import TrainConfig, TrainReport, score_dataset, train
 from .metrics import AggregateReport, MetricsReport, aggregate_runs, evaluate
-from .model import VARIANTS, Model, ModelConfig, default_hidden_dims
+from .model import VARIANTS, Model, ModelConfig
 from .ndcore import make_rng
 from .pairgen import OrdinalLabels
 
@@ -113,14 +118,11 @@ class RunOutput:
     test_labels: np.ndarray
 
 
-def train_config_for(spec: ExperimentSpec, input_dim: int, seed: int, variant: str | None = None) -> TrainConfig:
-    variant = variant or spec.variant
+def train_config_for(spec: ExperimentSpec, input_dim: int, seed: int) -> TrainConfig:
     model_cfg = ModelConfig(
-        variant=variant,
+        variant=spec.variant,
         input_dim=input_dim,
-        hidden_dims=spec.hidden_dims
-        if spec.hidden_dims is not None
-        else default_hidden_dims(variant),
+        hidden_dims=spec.hidden_dims,
         l2_lambda=spec.l2_lambda,
         labels=spec.labels,
     )
@@ -134,19 +136,30 @@ def train_config_for(spec: ExperimentSpec, input_dim: int, seed: int, variant: s
     )
 
 
-def run_single(
-    ds: LabeledDataset, spec: ExperimentSpec, seed: int, variant: str | None = None
-) -> RunOutput:
+def build_world(
+    train_ds: LabeledDataset,
+    spec: ExperimentSpec,
+    seed: int,
+    rng: np.random.Generator,
+    test: LabeledDataset | None = None,
+) -> tuple[WeakSupervisionSplit, np.ndarray | None, np.ndarray | None]:
+    """The weak-supervision world of one run, z-scored by its training
+    statistics when ``spec.standardize`` is set: ``(split, mean, scale)``,
+    with mean and scale None when it is not."""
+    split = build_weak_supervision(
+        train_ds, spec.n_labeled, spec.contamination, rng, test=test, seed=seed
+    )
+    if not spec.standardize:
+        return split, None, None
+    return standardize_split(split)
+
+
+def run_single(ds: LabeledDataset, spec: ExperimentSpec, seed: int) -> RunOutput:
     """One end-to-end run with a single run-owned generator."""
     rng = make_rng(seed)
     train_ds, test_ds = stratified_split(ds, spec.train_fraction, rng)
-    split = build_weak_supervision(
-        train_ds, spec.n_labeled, spec.contamination, rng, test=test_ds, seed=seed
-    )
-    if spec.standardize:
-        split, _, _ = standardize_split(split)
-    cfg = train_config_for(spec, ds.dim, seed, variant)
-    model, report = train(split, cfg, rng=rng)
+    split, _, _ = build_world(train_ds, spec, seed, rng, test=test_ds)
+    model, report = train(split, train_config_for(spec, ds.dim, seed), rng=rng)
     scores = score_dataset(model, split.test_features, split, spec.ensemble_size, rng)
     metrics = evaluate(scores, split.test_labels, seed=seed)
     return RunOutput(metrics, report, model, scores, split.test_labels)
@@ -167,41 +180,33 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateReport:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ds = load_source(spec)
     seeds = [spec.base_seed + i for i in range(spec.n_runs)]
+    workers = min(jobs, spec.n_runs)
     reports: list[MetricsReport] = []
-    if jobs > 1 and spec.n_runs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, spec.n_runs)) as pool:
-            futures = [pool.submit(_run_metrics, ds, spec, seed) for seed in seeds]
-            for i, future in enumerate(futures):
-                try:
-                    reports.append(future.result())
-                except Exception as exc:
-                    exc.args = (f"run {i} (seed {seeds[i]}): {exc}",)
-                    raise
-    else:
-        for i, seed in enumerate(seeds):
-            try:
-                reports.append(_run_metrics(ds, spec, seed))
-            except Exception as exc:
-                exc.args = (f"run {i} (seed {seed}): {exc}",)
-                raise
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run_map = pool.map if workers > 1 else map
+        try:
+            for report in run_map(_run_metrics, repeat(ds), repeat(spec), seeds):
+                reports.append(report)
+        except Exception as exc:
+            i = len(reports)
+            exc.args = (f"run {i} (seed {seeds[i]}): {exc}",)
+            raise
     return aggregate_runs(reports)
+
+
+def _ablation_spec(spec: ExperimentSpec, variant: str) -> ExperimentSpec:
+    """The spec ``variant`` runs under in an ablation: custom
+    ``hidden_dims`` are dropped because the variants require different
+    hidden-layer counts, so each uses its own default stack."""
+    return replace(spec, variant=variant, hidden_dims=None)
 
 
 def run_ablation_suite(
     spec: ExperimentSpec, variants: tuple[str, ...] = VARIANTS, jobs: int = 1
 ) -> dict[str, AggregateReport]:
     """Run every variant under identical per-run seeds (hence identical
-    splits: the world is drawn before any variant-specific randomness).
-
-    Custom ``hidden_dims`` are dropped here because the variants require
-    different hidden-layer counts; each uses its own default stack.
-    """
-    out: dict[str, AggregateReport] = {}
-    for variant in variants:
-        out[variant] = run_experiment(
-            replace(spec, variant=variant, hidden_dims=None), jobs=jobs
-        )
-    return out
+    splits: the world is drawn before any variant-specific randomness)."""
+    return {v: run_experiment(_ablation_spec(spec, v), jobs=jobs) for v in variants}
 
 
 def run_contamination_sweep(
@@ -209,10 +214,20 @@ def run_contamination_sweep(
 ) -> dict[float, AggregateReport]:
     """One experiment per contamination rate with shared base seeds; the
     unlabeled pool is re-derived from the same training pool per rate."""
-    out: dict[float, AggregateReport] = {}
-    for rate in rates:
-        out[rate] = run_experiment(replace(spec, contamination=rate), jobs=jobs)
-    return out
+    if len(set(rates)) != len(rates):
+        raise ValueError(f"contamination rates must be distinct, got {rates}")
+    return {r: run_experiment(replace(spec, contamination=r), jobs=jobs) for r in rates}
+
+
+def train_report_json(report: TrainReport) -> dict:
+    """Machine-readable training report."""
+    return {
+        "seed": report.seed,
+        "n_epochs": report.n_epochs,
+        "n_batches_per_epoch": report.n_batches_per_epoch,
+        "objective_trace": report.objective_trace,
+        "wall_seconds": report.wall_seconds,
+    }
 
 
 def experiment_report_json(
@@ -251,6 +266,40 @@ def experiment_report_json(
     if extra:
         doc.update(extra)
     return doc
+
+
+def ablation_report_json(
+    spec: ExperimentSpec, results: Mapping[str, AggregateReport], extra: Mapping | None = None
+) -> dict:
+    """Machine-readable ablation report: one experiment report per variant,
+    each with the spec the variant ran under."""
+    return {
+        "dataset": spec.dataset_name(),
+        "seeds": [spec.base_seed + i for i in range(spec.n_runs)],
+        **(extra or {}),
+        "variants": {
+            v: experiment_report_json(_ablation_spec(spec, v), agg) for v, agg in results.items()
+        },
+    }
+
+
+def sweep_report_json(
+    spec: ExperimentSpec, results: Mapping[float, AggregateReport], extra: Mapping | None = None
+) -> dict:
+    """Machine-readable contamination-sweep report, keyed by ``repr(rate)``."""
+    return {
+        "dataset": spec.dataset_name(),
+        "variant": spec.variant,
+        **(extra or {}),
+        "rates": {
+            repr(rate): {
+                "auc_roc": {"mean": agg.auc_roc_mean, "std": agg.auc_roc_std},
+                "auc_pr": {"mean": agg.auc_pr_mean, "std": agg.auc_pr_std},
+                "runs": [r.as_dict() for r in agg.runs],
+            }
+            for rate, agg in results.items()
+        },
+    }
 
 
 def parse_spec_file(path) -> dict[str, str]:

@@ -32,7 +32,10 @@ from .pairgen import InstanceBatch, OrdinalLabels, PairBatch, PairClass
 VARIANTS = ("prenet", "bor", "osnet", "ldm", "a2h")
 PAIR_VARIANTS = frozenset({"prenet", "bor", "ldm", "a2h"})
 
-_HIDDEN_LAYER_COUNT = {"prenet": 1, "bor": 1, "osnet": 1, "ldm": 0, "a2h": 3}
+# RMSprop decay of the squared-gradient average, and the denominator's
+# guard term (the Keras defaults)
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-7
 
 
 def default_hidden_dims(variant: str) -> tuple[int, ...]:
@@ -58,7 +61,7 @@ class ModelConfig:
         if dims is None:
             dims = default_hidden_dims(self.variant)
         dims = tuple(int(d) for d in dims)
-        expected = _HIDDEN_LAYER_COUNT[self.variant]
+        expected = len(default_hidden_dims(self.variant))
         if len(dims) != expected:
             raise ValueError(
                 f"variant {self.variant!r} requires exactly {expected} hidden "
@@ -275,27 +278,19 @@ class OptimizerState:
     acc_output_weights: np.ndarray
     acc_output_bias: float
     learning_rate: float = 0.001
-    rho: float = 0.9
-    eps: float = 1e-7
 
     @classmethod
     def for_params(
-        cls,
-        params: PReNetParams,
-        learning_rate: float = 0.001,
-        rho: float = 0.9,
-        eps: float = 1e-7,
+        cls, params: PReNetParams, learning_rate: float = 0.001
     ) -> "OptimizerState":
-        if learning_rate <= 0 or not 0.0 <= rho < 1.0 or eps <= 0:
-            raise ValueError("invalid RMSprop hyperparameters")
+        if learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
         return cls(
             [np.zeros_like(w) for w in params.hidden_weights],
             [np.zeros_like(b) for b in params.hidden_biases],
             np.zeros_like(params.output_weights),
             0.0,
             learning_rate,
-            rho,
-            eps,
         )
 
 
@@ -307,7 +302,7 @@ def rmsprop_step(
     """
     if not grads.all_finite():
         raise NumericError("non-finite gradient; aborting optimization")
-    lr, rho, eps = state.learning_rate, state.rho, state.eps
+    lr, rho, eps = state.learning_rate, RMSPROP_RHO, RMSPROP_EPS
 
     def update(p: np.ndarray, g: np.ndarray, a: np.ndarray) -> None:
         a *= rho

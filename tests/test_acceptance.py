@@ -9,6 +9,7 @@ absent; everything else runs from synthetic fixtures.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -333,7 +334,7 @@ class TestCriterion8AblationSanity:
         ds = load_source(spec)
         details, ok = [], True
         for variant in VARIANTS:
-            out = run_single(ds, spec, spec.base_seed, variant=variant)
+            out = run_single(ds, replace(spec, variant=variant), spec.base_seed)
             means = out.train_report.epoch_means()
             decreased = means[-1] < means[0]
             ranked = out.metrics.auc_roc > 0.5
@@ -351,17 +352,18 @@ class TestCriterion9Determinism:
             "--separation", "5", "--seed", "3", "-o", str(data),
         ]) == 0
         fast = [
-            "--runs", "2", "--seed", "4", "--n-labeled", "8", "--epochs", "2",
-            "--batches-per-epoch", "2", "--batch-size", "16", "--ensemble-size", "4",
+            "--seed", "4", "--n-labeled", "8", "--epochs", "2",
+            "--batches-per-epoch", "2", "--batch-size", "16",
         ]
+        fast_experiment = [*fast, "--runs", "2", "--ensemble-size", "4"]
         c1, c2 = tmp_path / "m1.json", tmp_path / "m2.json"
         assert cli_main(["train", "--data", str(data), *fast, "-o", str(c1)]) == 0
         assert cli_main(["train", "--data", str(data), *fast, "-o", str(c2)]) == 0
         checkpoints_identical = c1.read_bytes() == c2.read_bytes()
 
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert cli_main(["experiment", "--data", str(data), *fast, "-o", str(r1)]) == 0
-        assert cli_main(["experiment", "--data", str(data), *fast, "-o", str(r2)]) == 0
+        assert cli_main(["experiment", "--data", str(data), *fast_experiment, "-o", str(r1)]) == 0
+        assert cli_main(["experiment", "--data", str(data), *fast_experiment, "-o", str(r2)]) == 0
         d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
         d1.pop("generated_at"), d2.pop("generated_at")
         reports_identical = json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)

@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 
 import prenet
-from prenet.cli import main
+from prenet.cli import build_parser, main
 from prenet.engine import read_scores_csv
 from prenet.model import load_checkpoint
 
+# training flags, which every training command takes
 FAST = [
-    "--runs", "2", "--seed", "5", "--n-labeled", "8", "--epochs", "2",
-    "--batches-per-epoch", "2", "--batch-size", "16", "--ensemble-size", "4",
+    "--seed", "5", "--n-labeled", "8", "--epochs", "2",
+    "--batches-per-epoch", "2", "--batch-size", "16",
 ]
+# plus the experiment flags of experiment, ablate and sweep
+FAST_EXPERIMENT = [*FAST, "--runs", "2", "--ensemble-size", "4"]
+# experiment flags that train rejects
+EXPERIMENT_ONLY = ("--runs", "--jobs", "--train-fraction", "--ensemble-size")
 
 
 def run(argv, capsys=None):
@@ -183,7 +188,7 @@ class TestExperiment:
     def test_report_and_determinism(self, tmp_path):
         data = make_data(tmp_path)
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        args = ["experiment", "--data", str(data), *FAST]
+        args = ["experiment", "--data", str(data), *FAST_EXPERIMENT]
         assert main(args + ["-o", str(r1)]) == 0
         assert main(args + ["-o", str(r2)]) == 0
         d1 = drop_volatile(json.loads(r1.read_text()))
@@ -197,14 +202,14 @@ class TestExperiment:
 
     def test_missing_file_exit_3(self, tmp_path):
         assert main([
-            "experiment", "--data", str(tmp_path / "nope.csv"), *FAST,
+            "experiment", "--data", str(tmp_path / "nope.csv"), *FAST_EXPERIMENT,
             "-o", str(tmp_path / "r.json"),
         ]) == 3
 
     def test_capacity_error_exit_3(self, tmp_path):
         data = make_data(tmp_path)
         assert main([
-            "experiment", "--data", str(data), *FAST, "--n-labeled", "5000",
+            "experiment", "--data", str(data), *FAST_EXPERIMENT, "--n-labeled", "5000",
             "-o", str(tmp_path / "r.json"),
         ]) == 3
 
@@ -227,15 +232,25 @@ class TestAblateSweep:
     def test_ablate_all_variants(self, tmp_path):
         data = make_data(tmp_path)
         out = tmp_path / "ab.json"
-        assert main(["ablate", "--data", str(data), *FAST, "--runs", "1", "-o", str(out)]) == 0
+        assert main(["ablate", "--data", str(data), *FAST_EXPERIMENT, "--runs", "1",
+                     "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc["variants"]) == {"prenet", "bor", "osnet", "ldm", "a2h"}
+
+    def test_ablate_reports_the_default_stacks_that_ran(self, tmp_path):
+        # the variants need different layer counts, so custom widths are dropped
+        data = make_data(tmp_path)
+        out = tmp_path / "ab.json"
+        assert main(["ablate", "--data", str(data), *FAST_EXPERIMENT, "--runs", "1",
+                     "--hidden-dims", "7", "-o", str(out)]) == 0
+        variants = json.loads(out.read_text())["variants"].values()
+        assert [v["config"]["hidden_dims"] for v in variants] == [None] * 5
 
     def test_sweep_rates(self, tmp_path):
         data = make_data(tmp_path, n_normal="200", n_anomaly="100")
         out = tmp_path / "sw.json"
         assert main([
-            "sweep", "--data", str(data), *FAST, "--runs", "1",
+            "sweep", "--data", str(data), *FAST_EXPERIMENT, "--runs", "1",
             "--rates", "0,0.05", "-o", str(out),
         ]) == 0
         doc = json.loads(out.read_text())
@@ -254,9 +269,17 @@ class TestHelpAndExitCodes:
         out = capsys.readouterr().out
         assert "--" in out
 
-    def test_unknown_flag_exits_2(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory", "--eps", "0.1", "--bogus"],
+            *(["train", "--data", "d.csv", flag, "1", "-o", "m.json"] for flag in EXPERIMENT_ONLY),
+        ],
+        ids=["theory-bogus", *(f"train-{flag[2:]}" for flag in EXPERIMENT_ONLY)],
+    )
+    def test_unknown_flag_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["theory", "--eps", "0.1", "--bogus"])
+            main(argv)
         assert exc.value.code == 2
 
     def test_console_script_entry(self):
@@ -281,6 +304,53 @@ def trained(tmp_path_factory):
     ckpt = d / "model.json"
     assert main(["train", "--data", str(data), *FAST, "-o", str(ckpt)]) == 0
     return data, ckpt
+
+
+# A value other than FAST's for each train flag that sets up the training
+TRAIN_FLAG_VALUES = {
+    "--variant": ["a2h"],
+    "--seed": ["6"],
+    "--n-labeled": ["9"],
+    "--contamination": ["0.1"],
+    "--no-standardize": [],
+    "--labels": ["9,4,0"],
+    "--hidden-dims": ["7"],
+    "--l2": ["0.5"],
+    "--epochs": ["3"],
+    "--batches-per-epoch": ["3"],
+    "--batch-size": ["32"],
+    "--learning-rate": ["0.01"],
+}
+# train flags that set up no training: help, files and columns
+TRAIN_FILE_FLAGS = {"--help", "--output", "--report", "--data", "--label-column",
+                    "--anomaly-value"}
+
+
+def _train_flags():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    train = commands.choices["train"]
+    return [a.option_strings[-1] for a in train._actions if a.option_strings]
+
+
+@pytest.mark.parametrize(
+    "flag", [f for f in _train_flags() if f not in TRAIN_FILE_FLAGS]
+)
+def test_every_train_flag_changes_the_training(flag, trained, tmp_path):
+    assert flag in TRAIN_FLAG_VALUES, (
+        f"train takes {flag}: give it a value in TRAIN_FLAG_VALUES, or move it "
+        "to the experiment flags if training does not read it"
+    )
+    data, ckpt = trained
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), *FAST, flag, *TRAIN_FLAG_VALUES[flag],
+                 "-o", str(out)]) == 0
+
+    def report(path):
+        doc = json.loads(Path(f"{path}.train.json").read_text())
+        doc.pop("wall_seconds")
+        return doc
+
+    assert out.read_bytes() != ckpt.read_bytes() or report(out) != report(ckpt)
 
 
 def _score_with_checkpoint(edit):
@@ -398,8 +468,12 @@ MALFORMED_INPUTS = [
     ("eval_nan_score", _eval_scores("2,nan,1"), 3),
     ("eval_label_value_2", _eval_scores("2,0.5,2"), 3),
     ("jobs_zero",
-     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST,
+     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST_EXPERIMENT,
                                    "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),
+    ("sweep_duplicate_rate",
+     lambda tmp_path, data, ckpt: ["sweep", "--data", str(data), *FAST_EXPERIMENT,
+                                   "--rates", "0.02,0.020,0", "-o", str(tmp_path / "sw.json")],
+     2),
 ]
 
 

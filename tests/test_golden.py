@@ -22,7 +22,7 @@ from prenet.cli import main
 
 TRAIN = [
     "--seed", "5", "--n-labeled", "8", "--epochs", "2",
-    "--batches-per-epoch", "2", "--batch-size", "512", "--ensemble-size", "4",
+    "--batches-per-epoch", "2", "--batch-size", "512",
 ]
 
 GOLDEN = {
@@ -54,7 +54,7 @@ def outputs(tmp_path_factory):
     out["prenet_scores"] = scores.read_bytes()
     report = d / "report.json"
     assert main(["experiment", "--data", data, "--runs", "2", *TRAIN,
-                 "-o", str(report)]) == 0
+                 "--ensemble-size", "4", "-o", str(report)]) == 0
     doc = json.loads(report.read_text())
     for volatile in ("generated_at", "wall_seconds"):
         doc.pop(volatile, None)

@@ -151,7 +151,7 @@ class TestAblationSuite:
         spec = fast_spec(n_runs=1)
         ds = load_source(spec)
         outs = {
-            v: run_single(ds, spec, spec.base_seed, variant=v)
+            v: run_single(ds, dataclasses.replace(spec, variant=v), spec.base_seed)
             for v in ("prenet", "ldm", "osnet")
         }
         labels = [o.test_labels for o in outs.values()]
