@@ -72,22 +72,17 @@ def _write_json(path, doc: dict) -> None:
 
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    """The flags every training command takes."""
     p.add_argument("--data", help="labeled CSV dataset")
     p.add_argument("--label-column", default="label", help="name of the label column")
     p.add_argument("--anomaly-value", default=None,
                    help="label value to treat as the anomaly class")
-    p.add_argument("--variant", choices=VARIANTS, default="prenet",
-                   help="model variant")
     p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--n-labeled", type=int, default=60,
                    help="labeled anomalies available for training")
-    p.add_argument("--contamination", type=float, default=0.02,
-                   help="anomaly fraction of the unlabeled pool")
     p.add_argument("--no-standardize", action="store_true",
                    help="skip z-scoring features with training statistics")
     p.add_argument("--labels", default="8,4,0", help="ordinal targets aa,au,uu")
-    p.add_argument("--hidden-dims", default=None,
-                   help="comma-separated hidden layer widths (default: per variant)")
     p.add_argument("--l2", type=float, default=0.01, dest="l2_lambda",
                    help="weight penalty coefficient")
     p.add_argument("--epochs", type=int, default=50, help="training epochs")
@@ -99,7 +94,22 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
                    help="RMSprop learning rate")
 
 
+def _add_variant_flags(p: argparse.ArgumentParser) -> None:
+    """The model flags, which ablate sets per variant itself."""
+    p.add_argument("--variant", choices=VARIANTS, default="prenet",
+                   help="model variant")
+    p.add_argument("--hidden-dims", default=None,
+                   help="comma-separated hidden layer widths (default: per variant)")
+
+
+def _add_contamination_flag(p: argparse.ArgumentParser) -> None:
+    """The contamination rate, which sweep sets per rate itself."""
+    p.add_argument("--contamination", type=float, default=0.02,
+                   help="anomaly fraction of the unlabeled pool")
+
+
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    """The training flags plus the flags of a multi-run experiment."""
     _add_training_flags(p)
     p.add_argument("--runs", type=int, default=10, help="independent runs to average")
     p.add_argument("--train-fraction", type=float, default=0.8,
@@ -113,35 +123,38 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    """The spec of the training flags; the experiment flags, where the
-    command has them, replace the run count, split and ensemble size."""
+    """The spec of the flags the command takes; the fields of the flags
+    it lacks keep their defaults."""
     if not args.data:
         raise ValueError("--data is required")
     spec = ExperimentSpec(
         source=args.data,
-        variant=args.variant,
         base_seed=args.seed,
         n_labeled=args.n_labeled,
-        contamination=args.contamination,
         standardize=not args.no_standardize,
         label_column=args.label_column,
         anomaly_value=args.anomaly_value,
         labels=_parse_labels(args.labels),
-        hidden_dims=_parse_hidden_dims(args.hidden_dims),
         l2_lambda=args.l2_lambda,
         n_epochs=args.epochs,
         n_batches_per_epoch=args.batches_per_epoch,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
     )
-    if "runs" not in args:
-        return spec
-    return replace(
-        spec,
-        n_runs=args.runs,
-        train_fraction=args.train_fraction,
-        ensemble_size=args.ensemble_size,
-    )
+    if "variant" in args:
+        spec = replace(
+            spec, variant=args.variant, hidden_dims=_parse_hidden_dims(args.hidden_dims)
+        )
+    if "contamination" in args:
+        spec = replace(spec, contamination=args.contamination)
+    if "runs" in args:
+        spec = replace(
+            spec,
+            n_runs=args.runs,
+            train_fraction=args.train_fraction,
+            ensemble_size=args.ensemble_size,
+        )
+    return spec
 
 
 def cmd_synth(args) -> int:
@@ -303,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a labeled CSV (whole file is the training pool)")
     _add_training_flags(p)
+    _add_variant_flags(p)
+    _add_contamination_flag(p)
     p.add_argument("-o", "--output", required=True, help="checkpoint JSON path")
     p.add_argument("--report", default=None,
                    help="training report JSON path (default: <checkpoint>.train.json)")
@@ -331,16 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="multi-run split/train/score/eval protocol")
     _add_experiment_flags(p)
+    _add_variant_flags(p)
+    _add_contamination_flag(p)
     p.add_argument("-o", "--output", required=True, help="aggregate report JSON path")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("ablate", help="run all model variants under shared splits")
     _add_experiment_flags(p)
+    _add_contamination_flag(p)
     p.add_argument("-o", "--output", required=True, help="per-variant report JSON path")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="repeat an experiment across contamination rates")
     _add_experiment_flags(p)
+    _add_variant_flags(p)
     p.add_argument("--rates", default="0,0.02,0.05,0.1",
                    help="comma-separated contamination rates")
     p.add_argument("-o", "--output", required=True, help="sweep report JSON path")

@@ -118,7 +118,7 @@ def train(
             batch = sample(split, cfg.batch_size, cfg.model.labels, rng)
             objective, grads = objective_and_gradients(model, batch)
             rmsprop_step(model.params, grads, state)
-            if not model.params.all_finite():
+            if not np.isfinite(model.params.vector).all():
                 raise NumericError(
                     f"non-finite parameters after step {len(trace) + 1}"
                 )
@@ -217,6 +217,7 @@ def score_with_partners(
             f"for {x.shape[0]} instances"
         )
     p = model.params
+    b = p.output_bias
     head = head_matrix(model)
     scores = np.empty(n)
     c_a = _own_pass_column(p, head, anomaly_pool, a_pos, 0)
@@ -232,8 +233,8 @@ def score_with_partners(
             c_a = c[r1 - r0 : r1 - r0 + len(a_rows), 0]
         if c_u is None or len(u_rows):
             c_u = c[r1 - r0 + len(a_rows) :, 1]
-        s_a = (c_a[a_at] + c_r[:, None]) + p.output_bias
-        s_u = (c_l[:, None] + c_u[u_at]) + p.output_bias
+        s_a = (c_a[a_at] + c_r[:, None]) + b
+        s_u = (c_l[:, None] + c_u[u_at]) + b
         scores[r0:r1] = (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
     return scores
 

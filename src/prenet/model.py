@@ -13,8 +13,10 @@ A batch is its distinct store rows plus a ``streams x batch`` array of
 slot positions into them, so the stack runs once per distinct row.
 Gradients are exact analytic subgradients of the batch objective
 (mean absolute error plus L2 on weights), summed per row first and then
-over the rows in the order :func:`objective_and_gradients` defines;
-training uses RMSprop.
+over the rows in the order :func:`objective_and_gradients` defines.
+Parameters, gradients and the RMSprop accumulator are each one
+contiguous vector with per-layer views, and RMSprop is one elementwise
+rule over it, the output bias included.
 """
 
 from __future__ import annotations
@@ -87,40 +89,50 @@ class ModelConfig:
         return 2 * self.feature_dim if self.is_pairwise else self.feature_dim
 
 
-@dataclass
 class PReNetParams:
-    """All trainable parameters. The hidden stack is stored once and
-    shared by both streams; there is no second copy to drift."""
+    """All trainable parameters, held in one contiguous float64
+    ``vector``: the hidden weights layer by layer (row-major), the hidden
+    biases, the output weights, then the output bias.
+    ``hidden_weights``, ``hidden_biases`` and ``output_weights`` are
+    views into it, and ``output_bias`` reads and writes its last entry,
+    so an update of the vector updates every layer. The hidden stack is
+    stored once and shared by both streams; there is no second copy to
+    drift."""
 
-    hidden_weights: list[np.ndarray]
-    hidden_biases: list[np.ndarray]
-    output_weights: np.ndarray
-    output_bias: float
-
-    def copy(self) -> "PReNetParams":
-        return PReNetParams(
-            [w.copy() for w in self.hidden_weights],
-            [b.copy() for b in self.hidden_biases],
-            self.output_weights.copy(),
-            float(self.output_bias),
-        )
+    def __init__(
+        self,
+        hidden_weights: list[np.ndarray],
+        hidden_biases: list[np.ndarray],
+        output_weights: np.ndarray,
+        output_bias: float,
+    ):
+        arrays = (*hidden_weights, *hidden_biases, output_weights)
+        self.vector = np.concatenate([*map(np.ravel, arrays), [output_bias]], dtype=np.float64)
+        views, start = [], 0
+        for a in arrays:
+            views.append(self.vector[start : start + np.size(a)].reshape(np.shape(a)))
+            start += np.size(a)
+        n_layers = len(hidden_weights)
+        self.hidden_weights = views[:n_layers]
+        self.hidden_biases = views[n_layers:-1]
+        self.output_weights = views[-1]
 
     @property
-    def n_params(self) -> int:
-        return (
-            sum(w.size for w in self.hidden_weights)
-            + sum(b.size for b in self.hidden_biases)
-            + self.output_weights.size
-            + 1
-        )
+    def output_bias(self) -> float:
+        return float(self.vector[-1])
 
-    def all_finite(self) -> bool:
-        return (
-            all(np.all(np.isfinite(w)) for w in self.hidden_weights)
-            and all(np.all(np.isfinite(b)) for b in self.hidden_biases)
-            and bool(np.all(np.isfinite(self.output_weights)))
-            and np.isfinite(self.output_bias)
-        )
+    @output_bias.setter
+    def output_bias(self, value: float) -> None:
+        self.vector[-1] = value
+
+    def with_vector(self, vector: np.ndarray) -> "PReNetParams":
+        """Parameters shaped like these that hold a copy of ``vector``."""
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != self.vector.shape:
+            raise ValueError(f"expected {self.vector.size} entries, got shape {vector.shape}")
+        out = PReNetParams(self.hidden_weights, self.hidden_biases, self.output_weights, 0.0)
+        out.vector[:] = vector
+        return out
 
 
 @dataclass
@@ -271,12 +283,10 @@ def objective_and_gradients(
 
 @dataclass
 class OptimizerState:
-    """RMSprop state: running average of squared gradients per parameter."""
+    """RMSprop state: the running average of squared gradients, laid out
+    like the parameters."""
 
-    acc_hidden_weights: list[np.ndarray]
-    acc_hidden_biases: list[np.ndarray]
-    acc_output_weights: np.ndarray
-    acc_output_bias: float
+    accumulator: PReNetParams
     learning_rate: float = 0.001
 
     @classmethod
@@ -285,68 +295,23 @@ class OptimizerState:
     ) -> "OptimizerState":
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        return cls(
-            [np.zeros_like(w) for w in params.hidden_weights],
-            [np.zeros_like(b) for b in params.hidden_biases],
-            np.zeros_like(params.output_weights),
-            0.0,
-            learning_rate,
-        )
+        return cls(params.with_vector(np.zeros_like(params.vector)), learning_rate)
 
 
 def rmsprop_step(
     params: PReNetParams, grads: PReNetParams, state: OptimizerState
 ) -> None:
-    """Apply one RMSprop update in place:
-    acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g / (sqrt(acc) + eps).
+    """Apply one RMSprop update in place, one elementwise rule over the
+    whole vector, the output bias included:
+    acc <- rho*acc + ((1-rho)*g)*g; p <- p - (lr*g) / (sqrt(acc) + eps).
     """
-    if not grads.all_finite():
+    g = grads.vector
+    if not np.isfinite(g).all():
         raise NumericError("non-finite gradient; aborting optimization")
-    lr, rho, eps = state.learning_rate, RMSPROP_RHO, RMSPROP_EPS
-
-    def update(p: np.ndarray, g: np.ndarray, a: np.ndarray) -> None:
-        a *= rho
-        a += (1.0 - rho) * g * g
-        p -= lr * g / (np.sqrt(a) + eps)
-
-    for w, gw, aw in zip(params.hidden_weights, grads.hidden_weights, state.acc_hidden_weights):
-        update(w, gw, aw)
-    for b, gb, ab in zip(params.hidden_biases, grads.hidden_biases, state.acc_hidden_biases):
-        update(b, gb, ab)
-    update(params.output_weights, grads.output_weights, state.acc_output_weights)
-    state.acc_output_bias = rho * state.acc_output_bias + (1.0 - rho) * grads.output_bias**2
-    params.output_bias = params.output_bias - lr * grads.output_bias / (
-        np.sqrt(state.acc_output_bias) + eps
-    )
-
-
-def params_to_vector(params: PReNetParams) -> np.ndarray:
-    """Flatten parameters in a fixed order (hidden weights, hidden
-    biases, output weights, output bias); inverse of
-    :func:`vector_to_params`."""
-    parts = [w.ravel() for w in params.hidden_weights]
-    parts += [b.ravel() for b in params.hidden_biases]
-    parts.append(params.output_weights.ravel())
-    parts.append(np.asarray([params.output_bias]))
-    return np.concatenate(parts)
-
-
-def vector_to_params(vec: np.ndarray, like: PReNetParams) -> PReNetParams:
-    """Unflatten a vector produced by :func:`params_to_vector`."""
-    vec = np.asarray(vec, dtype=np.float64).ravel()
-    if vec.size != like.n_params:
-        raise ValueError(f"expected {like.n_params} entries, got {vec.size}")
-    pos = 0
-    hw, hb = [], []
-    for w in like.hidden_weights:
-        hw.append(vec[pos : pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-    for b in like.hidden_biases:
-        hb.append(vec[pos : pos + b.size].copy())
-        pos += b.size
-    ow = vec[pos : pos + like.output_weights.size].copy()
-    pos += like.output_weights.size
-    return PReNetParams(hw, hb, ow, float(vec[pos]))
+    acc = state.accumulator.vector
+    acc *= RMSPROP_RHO
+    acc += (1.0 - RMSPROP_RHO) * g * g
+    params.vector -= state.learning_rate * g / (np.sqrt(acc) + RMSPROP_EPS)
 
 
 # -- checkpoint container ---------------------------------------------------
@@ -472,7 +437,7 @@ def _from_document(doc) -> tuple[Model, dict]:
         _expect_shape("output weights", _decode_array(pd["output_weights"]), (cfg.head_dim,)),
         float(pd["output_bias"]),
     )
-    if not params.all_finite():
+    if not np.isfinite(params.vector).all():
         raise CheckpointError("parameters contain NaN or Inf")
     extras: dict = {"mean": None, "scale": None, "anomaly_pool": None, "unlabeled_pool": None}
     if doc.get("standardization"):

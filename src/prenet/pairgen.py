@@ -193,10 +193,20 @@ def mislabel_fraction(eps: float) -> float:
 
 
 def expected_scores(labels: OrdinalLabels, eps: float) -> tuple[float, float]:
-    """Expected ensemble score of a true anomaly and of a true normal
-    under a perfectly fitted regressor: ((aa + au) / 2,
-    (au + uu - 2*eps*aa) / 2)."""
+    """Expected ensemble score of a true anomaly and of a true normal.
+
+    Assumes a perfect fit that cannot tell labeled anomalies from the
+    anomalies contaminating U: a pair scores the mean target of the
+    sampled pairs whose members have its true classes, ``f_aa`` for two
+    anomalies, ``f_an`` for an anomaly left of a normal and ``uu`` for a
+    normal on the left. A scored row meets an anomaly from A on the left
+    and, with probability eps, an anomaly from U on the right.
+    """
     eps = _check_eps(eps)
-    anomaly_mean = (labels.aa + labels.au) / 2.0
-    normal_mean = (labels.au + labels.uu - 2.0 * eps * labels.aa) / 2.0
+    f_aa = (labels.aa + eps * labels.au + 2.0 * eps * eps * labels.uu) / (
+        1.0 + eps + 2.0 * eps * eps
+    )
+    f_an = (labels.au + 2.0 * eps * labels.uu) / (1.0 + 2.0 * eps)
+    anomaly_mean = ((1.0 + eps) * f_aa + (1.0 - eps) * f_an) / 2.0
+    normal_mean = (f_an + labels.uu) / 2.0
     return anomaly_mean, normal_mean

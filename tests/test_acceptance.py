@@ -34,8 +34,6 @@ from prenet.model import (
     build_variant,
     forward,
     objective_and_gradients,
-    params_to_vector,
-    vector_to_params,
 )
 from prenet.ndcore import finite_diff_grad, make_rng
 from prenet.pairgen import (
@@ -92,12 +90,12 @@ class TestCriterion1Gradients:
             return None
         if any(p.size and np.min(np.abs(p)) < 1e-3 for p in pres):
             return None
-        analytic = params_to_vector(objective_and_gradients(model, batch)[1])
+        analytic = objective_and_gradients(model, batch)[1].vector
         numeric = finite_diff_grad(
             lambda v: objective_and_gradients(
-                Model(cfg, vector_to_params(v, model.params)), batch
+                Model(cfg, model.params.with_vector(v)), batch
             )[0],
-            params_to_vector(model.params),
+            model.params.vector,
             h=1e-5,
         )
         denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))

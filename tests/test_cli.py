@@ -22,6 +22,9 @@ FAST = [
 FAST_EXPERIMENT = [*FAST, "--runs", "2", "--ensemble-size", "4"]
 # experiment flags that train rejects
 EXPERIMENT_ONLY = ("--runs", "--jobs", "--train-fraction", "--ensemble-size")
+# flags of the fields that ablate and sweep set per run themselves
+SET_PER_RUN = (("ablate", "--variant", "a2h"), ("ablate", "--hidden-dims", "7"),
+               ("sweep", "--contamination", "0.1"))
 
 
 def run(argv, capsys=None):
@@ -48,7 +51,7 @@ class TestTheory:
     def test_values(self, capsys):
         assert main(["theory", "--eps", "0.02"]) == 0
         out = capsys.readouterr().out
-        assert "6" in out and "1.84" in out and "0.0396" in out
+        assert "5.92145" in out and "1.92308" in out and "0.0396" in out
 
     def test_eps_zero_proportions(self, capsys):
         assert main(["theory", "--eps", "0"]) == 0
@@ -238,11 +241,11 @@ class TestAblateSweep:
         assert set(doc["variants"]) == {"prenet", "bor", "osnet", "ldm", "a2h"}
 
     def test_ablate_reports_the_default_stacks_that_ran(self, tmp_path):
-        # the variants need different layer counts, so custom widths are dropped
+        # the variants need different layer counts, so ablate takes no widths
         data = make_data(tmp_path)
         out = tmp_path / "ab.json"
         assert main(["ablate", "--data", str(data), *FAST_EXPERIMENT, "--runs", "1",
-                     "--hidden-dims", "7", "-o", str(out)]) == 0
+                     "-o", str(out)]) == 0
         variants = json.loads(out.read_text())["variants"].values()
         assert [v["config"]["hidden_dims"] for v in variants] == [None] * 5
 
@@ -274,8 +277,14 @@ class TestHelpAndExitCodes:
         [
             ["theory", "--eps", "0.1", "--bogus"],
             *(["train", "--data", "d.csv", flag, "1", "-o", "m.json"] for flag in EXPERIMENT_ONLY),
+            *([cmd, "--data", "d.csv", flag, value, "-o", "r.json"]
+              for cmd, flag, value in SET_PER_RUN),
         ],
-        ids=["theory-bogus", *(f"train-{flag[2:]}" for flag in EXPERIMENT_ONLY)],
+        ids=[
+            "theory-bogus",
+            *(f"train-{flag[2:]}" for flag in EXPERIMENT_ONLY),
+            *(f"{cmd}-{flag[2:]}" for cmd, flag, _ in SET_PER_RUN),
+        ],
     )
     def test_unknown_flag_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -326,14 +335,13 @@ TRAIN_FILE_FLAGS = {"--help", "--output", "--report", "--data", "--label-column"
                     "--anomaly-value"}
 
 
-def _train_flags():
+def _flags(command):
     commands = next(a for a in build_parser()._actions if a.dest == "command")
-    train = commands.choices["train"]
-    return [a.option_strings[-1] for a in train._actions if a.option_strings]
+    return [a.option_strings[-1] for a in commands.choices[command]._actions if a.option_strings]
 
 
 @pytest.mark.parametrize(
-    "flag", [f for f in _train_flags() if f not in TRAIN_FILE_FLAGS]
+    "flag", [f for f in _flags("train") if f not in TRAIN_FILE_FLAGS]
 )
 def test_every_train_flag_changes_the_training(flag, trained, tmp_path):
     assert flag in TRAIN_FLAG_VALUES, (
@@ -351,6 +359,46 @@ def test_every_train_flag_changes_the_training(flag, trained, tmp_path):
         return doc
 
     assert out.read_bytes() != ckpt.read_bytes() or report(out) != report(ckpt)
+
+
+# ablate and sweep on one run with FAST's training; sweep on two rates
+RUN_FAST = [*FAST, "--runs", "1", "--ensemble-size", "4"]
+# A value other than RUN_FAST's for each flag of ablate and sweep. The sweep
+# report holds metrics only, and its short training scores every pair below
+# 8 and 4, so only a new uu target moves the residual signs there.
+RUN_FLAG_VALUES = {**TRAIN_FLAG_VALUES, "--labels": ["8,4,1"], "--runs": ["2"],
+                   "--train-fraction": ["0.7"], "--ensemble-size": ["5"], "--rates": ["0.05"]}
+# flags of ablate and sweep that change no result: help, files, columns and workers
+RUN_FILE_FLAGS = {"--help", "--output", "--data", "--label-column", "--anomaly-value",
+                  "--jobs", "--spec-file"}
+
+
+def _run_report(command, data, tmp_path, *flags):
+    rates = ["--rates", "0,0.05"] if command == "sweep" else []
+    out = tmp_path / f"{command}.json"
+    assert main([command, "--data", str(data), *RUN_FAST, *rates, *flags, "-o", str(out)]) == 0
+    return drop_volatile(json.loads(out.read_text()))
+
+
+@pytest.fixture(scope="module")
+def run_reports(tmp_path_factory):
+    """A labeled CSV and the ablate and sweep reports of RUN_FAST on it."""
+    d = tmp_path_factory.mktemp("runs")
+    data = make_data(d)
+    return data, {command: _run_report(command, data, d) for command in ("ablate", "sweep")}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in ("ablate", "sweep") for f in _flags(c) if f not in RUN_FILE_FLAGS],
+)
+def test_every_ablate_and_sweep_flag_changes_the_report(command, flag, run_reports, tmp_path):
+    assert flag in RUN_FLAG_VALUES, (
+        f"{command} takes {flag}: give it a value in RUN_FLAG_VALUES, or drop it "
+        f"from {command} if the report does not read it"
+    )
+    data, reports = run_reports
+    assert _run_report(command, data, tmp_path, flag, *RUN_FLAG_VALUES[flag]) != reports[command]
 
 
 def _score_with_checkpoint(edit):

@@ -20,7 +20,6 @@ from prenet.model import (
     build_variant,
     features,
     forward,
-    params_to_vector,
 )
 from prenet.ndcore import make_rng
 
@@ -64,14 +63,14 @@ class TestTrain:
         split = small_split()
         m1, r1 = train(split, tiny_cfg(seed=11))
         m2, r2 = train(split, tiny_cfg(seed=11))
-        assert np.array_equal(params_to_vector(m1.params), params_to_vector(m2.params))
+        assert np.array_equal(m1.params.vector, m2.params.vector)
         assert r1.objective_trace == r2.objective_trace
 
     def test_different_seed_differs(self):
         split = small_split()
         m1, _ = train(split, tiny_cfg(seed=1))
         m2, _ = train(split, tiny_cfg(seed=2))
-        assert not np.array_equal(params_to_vector(m1.params), params_to_vector(m2.params))
+        assert not np.array_equal(m1.params.vector, m2.params.vector)
 
     def test_dim_mismatch_rejected(self):
         split = small_split(dim=3)
@@ -82,7 +81,7 @@ class TestTrain:
         split = small_split(with_test=False)
         assert split.test_labels is None  # training must not need them
         model, _ = train(split, tiny_cfg())
-        assert model.params.all_finite()
+        assert np.isfinite(model.params.vector).all()
 
     def test_batch_divisibility_validation(self):
         with pytest.raises(ValueError):
@@ -95,7 +94,7 @@ class TestTrain:
     def test_all_variants_train(self, variant):
         split = small_split()
         model, report = train(split, tiny_cfg(variant))
-        assert model.params.all_finite()
+        assert np.isfinite(model.params.vector).all()
         assert all(np.isfinite(v) for v in report.objective_trace)
 
     def test_objective_decreases_on_separable_fixture(self):

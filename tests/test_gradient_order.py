@@ -7,9 +7,11 @@ the ``prenet.model`` docstring defines: per-row sign counts over the
 batch size, then every product summed over the distinct rows in
 ascending order onto 0.0. Its gradients must equal NumPy's byte for
 byte. Batches are sampled from a four-row store, so slots share rows,
-and a batch of 12 makes ``1/n`` round.
+and a batch of 12 makes ``1/n`` round. The RMSprop rule is redone the
+same way, one parameter at a time over the flat vector.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -18,10 +20,14 @@ import pytest
 from prenet import model as model_module
 from prenet.dataset import WeakSupervisionSplit
 from prenet.model import (
+    RMSPROP_EPS,
+    RMSPROP_RHO,
     ModelConfig,
+    OptimizerState,
     build_variant,
     forward,
     objective_and_gradients,
+    rmsprop_step,
 )
 from prenet.ndcore import make_rng
 from prenet.pairgen import OrdinalLabels, sample_instance_batch, sample_pair_batch
@@ -173,6 +179,30 @@ def test_gradients_bytes_equal_scalar_reimplementation(variant, batch_size, seed
         assert got.astype("<f8").tobytes() == float_bytes(ref)
     assert grads.output_weights.astype("<f8").tobytes() == float_bytes(ref_out)
     assert float_bytes([grads.output_bias]) == float_bytes([ref_bias])
+
+
+# Cases whose output-bias gradient g has (1-rho)*g**2 != ((1-rho)*g)*g
+# in float64, so a bias squared apart from the weights shows.
+@pytest.mark.parametrize(
+    "variant, batch_size, seed", [("prenet", 20, 0), ("a2h", 36, 5), ("osnet", 36, 2)]
+)
+def test_rmsprop_steps_bytes_equal_scalar_rule(variant, batch_size, seed):
+    """Two steps, each parameter updated on its own in plain floats by
+    ``a = rho*a + ((1-rho)*g)*g`` and ``p = p - (lr*g) / (sqrt(a) + eps)``,
+    the output bias by the same rule as every weight."""
+    model, batch = sampled(variant, batch_size, seed)
+    state = OptimizerState.for_params(model.params)
+    lr, rho, eps = state.learning_rate, RMSPROP_RHO, RMSPROP_EPS
+    params = model.params.vector.tolist()
+    acc = [0.0] * len(params)
+    for _ in range(2):
+        grads = objective_and_gradients(model, batch)[1]
+        rmsprop_step(model.params, grads, state)
+        for i, g in enumerate(grads.vector.tolist()):
+            acc[i] = rho * acc[i] + ((1.0 - rho) * g) * g
+            params[i] = params[i] - (lr * g) / (math.sqrt(acc[i]) + eps)
+        assert state.accumulator.vector.astype("<f8").tobytes() == float_bytes(acc)
+        assert model.params.vector.astype("<f8").tobytes() == float_bytes(params)
 
 
 @pytest.mark.parametrize("variant", ["prenet", "osnet"])

@@ -15,10 +15,8 @@ from prenet.model import (
     forward,
     load_checkpoint,
     objective_and_gradients,
-    params_to_vector,
     rmsprop_step,
     save_checkpoint,
-    vector_to_params,
 )
 from prenet.ndcore import finite_diff_grad, make_rng
 from prenet.pairgen import (
@@ -125,13 +123,13 @@ class TestBuildVariant:
     def test_parameter_counts(self):
         rng = make_rng(0)
         # 21*20 + 20 + 40 + 1
-        assert build_variant(ModelConfig("prenet", 21), rng).params.n_params == 481
+        assert build_variant(ModelConfig("prenet", 21), rng).params.vector.size == 481
         # 2*21 + 1
-        assert build_variant(ModelConfig("ldm", 21), rng).params.n_params == 43
+        assert build_variant(ModelConfig("ldm", 21), rng).params.vector.size == 43
         # 21*20 + 20 + 20 + 1
-        assert build_variant(ModelConfig("osnet", 21), rng).params.n_params == 461
+        assert build_variant(ModelConfig("osnet", 21), rng).params.vector.size == 461
         # (21*20+20) + (20*20+20) + (20*20+20) + (40+1)
-        assert build_variant(ModelConfig("a2h", 21), rng).params.n_params == 1321
+        assert build_variant(ModelConfig("a2h", 21), rng).params.vector.size == 1321
 
     def test_biases_zero_weights_in_glorot_bound(self):
         model = build_variant(ModelConfig("prenet", 10), make_rng(3))
@@ -143,7 +141,7 @@ class TestBuildVariant:
     def test_same_seed_identical(self):
         m1 = build_variant(ModelConfig("a2h", 7), make_rng(9))
         m2 = build_variant(ModelConfig("a2h", 7), make_rng(9))
-        assert np.array_equal(params_to_vector(m1.params), params_to_vector(m2.params))
+        assert np.array_equal(m1.params.vector, m2.params.vector)
 
 
 class TestForward:
@@ -200,9 +198,9 @@ class TestForward:
     def test_stream_swap_symmetry(self):
         rng = make_rng(5)
         model = build_variant(ModelConfig("prenet", 4), rng)
-        swapped = Model(model.config, model.params.copy())
+        swapped = Model(model.config, model.params.with_vector(model.params.vector))
         m = model.config.feature_dim
-        swapped.params.output_weights = np.concatenate(
+        swapped.params.output_weights[:] = np.concatenate(
             [model.params.output_weights[m:], model.params.output_weights[:m]]
         )
         for _ in range(10):
@@ -306,13 +304,13 @@ class TestGradients:
         batch = make_batch(cfg, 5, rng)
         if not far_from_kinks(model, batch, 1e-3):
             return None
-        analytic = params_to_vector(objective_and_gradients(model, batch)[1])
+        analytic = objective_and_gradients(model, batch)[1].vector
 
         def f(vec):
-            probe = Model(cfg, vector_to_params(vec, model.params))
+            probe = Model(cfg, model.params.with_vector(vec))
             return objective_and_gradients(probe, batch)[0]
 
-        numeric = finite_diff_grad(f, params_to_vector(model.params), h=1e-5)
+        numeric = finite_diff_grad(f, model.params.vector, h=1e-5)
         return relative_error(analytic, numeric)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -348,7 +346,7 @@ class TestGradients:
         scores, _ = forward(model, batch.rows, batch.positions)
         batch.targets = scores.copy()  # every pair already perfectly fitted
         grads = objective_and_gradients(model, batch)[1]
-        assert np.array_equal(params_to_vector(grads), np.zeros(model.params.n_params))
+        assert np.array_equal(grads.vector, np.zeros_like(model.params.vector))
 
     def test_lambda_only_gradient_is_2_lambda_w(self):
         lam = 0.05
@@ -380,9 +378,9 @@ class TestGradients:
 class TestRmsprop:
     def test_zero_gradient_decays_accumulator(self):
         model = build_variant(ModelConfig("prenet", 3), make_rng(0))
-        params_before = params_to_vector(model.params)
+        params_before = model.params.vector.copy()
         state = OptimizerState.for_params(model.params)
-        state.acc_output_weights[:] = 1.0
+        state.accumulator.output_weights[:] = 1.0
         zero = PReNetParams(
             [np.zeros_like(w) for w in model.params.hidden_weights],
             [np.zeros_like(b) for b in model.params.hidden_biases],
@@ -390,8 +388,8 @@ class TestRmsprop:
             0.0,
         )
         rmsprop_step(model.params, zero, state)
-        assert np.array_equal(params_to_vector(model.params), params_before)
-        assert np.all(state.acc_output_weights == 0.9)
+        assert np.array_equal(model.params.vector, params_before)
+        assert np.all(state.accumulator.output_weights == 0.9)
 
     def test_first_step_hand_computed(self):
         # acc = 0.1, delta = -lr / (sqrt(0.1) + eps)
@@ -444,14 +442,23 @@ class TestRmsprop:
 class TestVectorRoundTrip:
     def test_round_trip(self):
         model = build_variant(ModelConfig("a2h", 6, hidden_dims=(5, 4, 3)), make_rng(0))
-        vec = params_to_vector(model.params)
-        back = vector_to_params(vec, model.params)
-        assert np.array_equal(params_to_vector(back), vec)
+        vec = model.params.vector
+        back = model.params.with_vector(vec)
+        assert np.array_equal(back.vector, vec)
+        assert not np.shares_memory(back.vector, vec)
+        # the per-layer arrays and the bias read and write the one vector
+        back.vector[:] = np.arange(vec.size)
+        assert back.hidden_weights[0][0, 1] == 1.0
+        assert back.hidden_biases[0][0] == sum(w.size for w in back.hidden_weights)
+        assert back.output_weights[0] == vec.size - 1 - model.params.output_weights.size
+        assert back.output_bias == vec.size - 1
+        back.output_bias = -2.5
+        assert back.vector[-1] == -2.5
 
     def test_size_check(self):
         model = build_variant(ModelConfig("prenet", 3), make_rng(0))
         with pytest.raises(ValueError):
-            vector_to_params(np.zeros(3), model.params)
+            model.params.with_vector(np.zeros(3))
 
 
 class TestCheckpoint:
@@ -466,7 +473,7 @@ class TestCheckpoint:
         save_checkpoint(path, model, mean, scale, a_pool, u_pool)
         back, extras = load_checkpoint(path)
         assert back.config == model.config
-        assert np.array_equal(params_to_vector(back.params), params_to_vector(model.params))
+        assert np.array_equal(back.params.vector, model.params.vector)
         assert np.array_equal(extras["mean"], mean)
         assert np.array_equal(extras["scale"], scale)
         assert np.array_equal(extras["anomaly_pool"], a_pool)

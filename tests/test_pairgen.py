@@ -172,17 +172,17 @@ class TestTheoryCalculators:
         assert mislabel_fraction(0.02) == pytest.approx(0.0396, abs=1e-12)
 
     def test_expected_scores_defaults(self):
-        anom, norm = expected_scores(LABELS, 0.02)
-        assert anom == pytest.approx(6.0)
-        assert norm == pytest.approx(1.84)
+        anom, norm = expected_scores(LABELS, 0.05)
+        assert anom == pytest.approx(5.808, abs=5e-4)
+        assert norm == pytest.approx(1.818, abs=5e-4)
 
     def test_expected_scores_eps_zero(self):
         anom, norm = expected_scores(OrdinalLabels(8, 4, 0), 0.0)
         assert (anom, norm) == (6.0, 2.0)
 
     def test_separation_for_any_valid_labels(self):
-        # gap = (aa + au)/2 - (au + uu - 2*eps*aa)/2 = (aa - uu)/2 + eps*aa,
-        # positive for every valid triple and eps >= 0
+        # both are means of targets, and a normal's pairs hold fewer
+        # anomalies: uu < normal < anomaly < aa for every valid triple
         rng = make_rng(5)
         for _ in range(50):
             uu = float(rng.uniform(0, 2))
@@ -191,14 +191,15 @@ class TestTheoryCalculators:
             labels = OrdinalLabels(aa, au, uu)
             for eps in (0.0, 0.1, 0.49, 0.9):
                 anom, norm = expected_scores(labels, eps)
-                assert anom - norm == pytest.approx((aa - uu) / 2 + eps * aa)
-                assert anom > norm
+                assert uu < norm < anom < aa
 
     def test_default_separation_gap(self):
-        for eps in np.linspace(0.0, 0.5, 11):
-            anom, norm = expected_scores(LABELS, eps)
-            assert anom - norm == pytest.approx(4.0 + 8.0 * eps)
-            assert anom - norm > 0
+        # contamination pulls the two means together: the gap is 4 at
+        # eps = 0 and shrinks as eps grows
+        gaps = [np.subtract(*expected_scores(LABELS, eps)) for eps in np.linspace(0.0, 0.5, 11)]
+        assert gaps[0] == 4.0
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] > 0
 
     def test_eps_validation(self):
         for fn in (expected_true_relation_proportions, mislabel_fraction):
@@ -236,3 +237,27 @@ class TestEmpiricalProportions:
         assert counts["an"] / n_pairs == pytest.approx(p_an, abs=0.01)
         assert counts["nn"] / n_pairs == pytest.approx(p_nn, abs=0.01)
         assert uu_mislabeled / uu_total == pytest.approx(mislabel_fraction(0.05), abs=0.01)
+
+    def test_monte_carlo_matches_expected_scores(self):
+        """A fit that sees only the members' true classes scores each
+        ordered pair of them by its mean target over sampled batches; the
+        ensemble means of true anomalies and true normals then match."""
+        split = make_split(n_normal=1900, n_anomaly=200, n_labeled=60, eps=0.05, seed=4)
+        true = split.true_labels
+        rng = make_rng(7)
+        total, count = np.zeros((2, 2)), np.zeros((2, 2))
+        for _ in range(400):
+            batch = sample_pair_batch(split, 512, LABELS, rng)
+            cell = (true[batch.left_index], true[batch.right_index])
+            np.add.at(total, cell, batch.targets)
+            np.add.at(count, cell, 1)
+        fit = total / count
+        # pair every true anomaly and true normal of the store with drawn partners
+        a = rng.choice(split.labeled_idx, size=(len(true), 30))
+        u = rng.choice(split.unlabeled_idx, size=(len(true), 30))
+        x = true[:, None]
+        score = np.concatenate([fit[true[a], x], fit[x, true[u]]], axis=1).mean(axis=1)
+        anom, norm = expected_scores(LABELS, 0.05)
+        assert score[true == 1].mean() == pytest.approx(anom, abs=0.02)
+        assert score[true == 0].mean() == pytest.approx(norm, abs=0.02)
+        assert fit[0, 0] == fit[0, 1] == LABELS.uu
