@@ -50,9 +50,8 @@ from .model import (
 )
 from .ndcore import finite_diff_grad, glorot_uniform, make_rng, matmul, relu
 from .pairgen import (
-    InstanceBatch,
+    Batch,
     OrdinalLabels,
-    PairBatch,
     PairClass,
     expected_scores,
     expected_true_relation_proportions,

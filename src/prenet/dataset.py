@@ -6,7 +6,7 @@ pool U, and an untouched test split.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -324,6 +324,13 @@ def build_weak_supervision(
     )
 
 
+def _fit_standardization(train_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and divisor of each feature; a feature with (population) std
+    below 1e-12 is centered only."""
+    std = train_features.std(axis=0)
+    return train_features.mean(axis=0), np.where(std < 1e-12, 1.0, std)
+
+
 def standardize(
     train_features: np.ndarray, *other_features: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
@@ -333,13 +340,9 @@ def standardize(
     Returns ``(transformed, mean, scale)`` with the training matrix
     first in ``transformed``; ``scale`` is the divisor actually used.
     """
-    train_features = np.asarray(train_features, dtype=np.float64)
-    mean = train_features.mean(axis=0)
-    std = train_features.std(axis=0)
-    scale = np.where(std < 1e-12, 1.0, std)
+    mean, scale = _fit_standardization(np.asarray(train_features, dtype=np.float64))
     transformed = tuple(
-        (np.asarray(x, dtype=np.float64) - mean) / scale
-        for x in (train_features, *other_features)
+        apply_standardization(x, mean, scale) for x in (train_features, *other_features)
     )
     return transformed, mean, scale
 
@@ -354,19 +357,15 @@ def apply_standardization(
 def standardize_split(
     split: WeakSupervisionSplit,
 ) -> tuple[WeakSupervisionSplit, np.ndarray, np.ndarray]:
-    """Standardize a split's store (fit on A ∪ U rows) and its test data."""
+    """Standardize a split's store (fit on A ∪ U rows) and its test data;
+    the index lists and labels are shared with ``split``, which nothing
+    mutates."""
     fit_rows = np.concatenate([split.unlabeled_idx, split.labeled_idx])
-    _, mean, scale = standardize(split.features[fit_rows])
-    new = WeakSupervisionSplit(
+    mean, scale = _fit_standardization(split.features[fit_rows])
+    test = split.test_features
+    new = replace(
+        split,
         features=apply_standardization(split.features, mean, scale),
-        true_labels=split.true_labels.copy(),
-        labeled_idx=split.labeled_idx.copy(),
-        unlabeled_idx=split.unlabeled_idx.copy(),
-        contamination_rate=split.contamination_rate,
-        seed=split.seed,
-        test_features=None
-        if split.test_features is None
-        else apply_standardization(split.test_features, mean, scale),
-        test_labels=None if split.test_labels is None else split.test_labels.copy(),
+        test_features=None if test is None else apply_standardization(test, mean, scale),
     )
     return new, mean, scale

@@ -115,13 +115,12 @@ def train(
     trace: list[float] = []
     for _ in range(cfg.n_epochs):
         for _ in range(cfg.n_batches_per_epoch):
-            batch = sample(split, cfg.batch_size, cfg.model.labels, rng)
-            objective, grads = objective_and_gradients(model, batch)
+            objective, grads = objective_and_gradients(model, sample(split, cfg.batch_size, rng))
+            if not math.isfinite(objective):
+                raise NumericError(f"non-finite objective at step {len(trace) + 1}")
             rmsprop_step(model.params, grads, state)
             if not np.isfinite(model.params.vector).all():
-                raise NumericError(
-                    f"non-finite parameters after step {len(trace) + 1}"
-                )
+                raise NumericError(f"non-finite parameters after step {len(trace) + 1}")
             trace.append(objective)
     report = TrainReport(
         objective_trace=trace,

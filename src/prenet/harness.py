@@ -286,17 +286,15 @@ def ablation_report_json(
 def sweep_report_json(
     spec: ExperimentSpec, results: Mapping[float, AggregateReport], extra: Mapping | None = None
 ) -> dict:
-    """Machine-readable contamination-sweep report, keyed by ``repr(rate)``."""
+    """Machine-readable contamination-sweep report: one experiment report
+    per rate, keyed by ``repr(rate)``, each with the spec the rate ran
+    under."""
     return {
         "dataset": spec.dataset_name(),
         "variant": spec.variant,
         **(extra or {}),
         "rates": {
-            repr(rate): {
-                "auc_roc": {"mean": agg.auc_roc_mean, "std": agg.auc_roc_std},
-                "auc_pr": {"mean": agg.auc_pr_mean, "std": agg.auc_pr_std},
-                "runs": [r.as_dict() for r in agg.runs],
-            }
+            repr(rate): experiment_report_json(replace(spec, contamination=rate), agg)
             for rate, agg in results.items()
         },
     }

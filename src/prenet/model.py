@@ -10,7 +10,9 @@ a linear head scores the concatenated pair. Variants:
 - ``a2h``: ternary targets, three hidden layers.
 
 A batch is its distinct store rows plus a ``streams x batch`` array of
-slot positions into them, so the stack runs once per distinct row.
+slot positions into them, so the stack runs once per distinct row, and
+each slot's pair class, which :func:`batch_targets` alone maps to its
+regression target.
 Gradients are exact analytic subgradients of the batch objective
 (mean absolute error plus L2 on weights), summed per row first and then
 over the rows in the order :func:`objective_and_gradients` defines.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import CheckpointError, NumericError
 from .ndcore import glorot_uniform, matmul, relu
-from .pairgen import InstanceBatch, OrdinalLabels, PairBatch, PairClass
+from .pairgen import Batch, OrdinalLabels
 
 VARIANTS = ("prenet", "bor", "osnet", "ldm", "a2h")
 PAIR_VARIANTS = frozenset({"prenet", "bor", "ldm", "a2h"})
@@ -94,8 +96,10 @@ class PReNetParams:
     ``vector``: the hidden weights layer by layer (row-major), the hidden
     biases, the output weights, then the output bias.
     ``hidden_weights``, ``hidden_biases`` and ``output_weights`` are
-    views into it, and ``output_bias`` reads and writes its last entry,
-    so an update of the vector updates every layer. The hidden stack is
+    read-only properties that return views into it, and ``output_bias``
+    reads and writes its last entry, so the vector is the only state:
+    an update of it updates every layer, and a copy or an unpickled
+    model holds no layer array apart from it. The hidden stack is
     stored once and shared by both streams; there is no second copy to
     drift."""
 
@@ -108,14 +112,26 @@ class PReNetParams:
     ):
         arrays = (*hidden_weights, *hidden_biases, output_weights)
         self.vector = np.concatenate([*map(np.ravel, arrays), [output_bias]], dtype=np.float64)
-        views, start = [], 0
+        self._layout, start = [], 0
         for a in arrays:
-            views.append(self.vector[start : start + np.size(a)].reshape(np.shape(a)))
+            self._layout.append((start, start + np.size(a), np.shape(a)))
             start += np.size(a)
-        n_layers = len(hidden_weights)
-        self.hidden_weights = views[:n_layers]
-        self.hidden_biases = views[n_layers:-1]
-        self.output_weights = views[-1]
+        self._n_layers = len(hidden_weights)
+
+    def _views(self, first: int, stop: int | None) -> list[np.ndarray]:
+        return [self.vector[a:b].reshape(shape) for a, b, shape in self._layout[first:stop]]
+
+    @property
+    def hidden_weights(self) -> list[np.ndarray]:
+        return self._views(0, self._n_layers)
+
+    @property
+    def hidden_biases(self) -> list[np.ndarray]:
+        return self._views(self._n_layers, -1)
+
+    @property
+    def output_weights(self) -> np.ndarray:
+        return self._views(-1, None)[0]
 
     @property
     def output_bias(self) -> float:
@@ -210,14 +226,14 @@ def forward(
     return scores, stack
 
 
-def batch_targets(config: ModelConfig, batch: PairBatch | InstanceBatch) -> np.ndarray:
-    """Regression targets for a batch under the given variant; the binary
-    variant merges both anomaly-bearing pair classes down to au."""
-    if isinstance(batch, InstanceBatch):
-        return batch.targets
-    if config.variant == "bor":
-        return np.where(batch.classes == PairClass.UU, config.labels.uu, config.labels.au)
-    return batch.targets
+def batch_targets(config: ModelConfig, batch: Batch) -> np.ndarray:
+    """Regression target of each slot of a batch, from its pair class:
+    aa/au/uu by class, except that the binary variant merges both
+    anomaly-bearing classes down to au. The one-stream variant's slots
+    are AU (from A) or UU (from U), so they get au/uu."""
+    labels = config.labels
+    aa = labels.au if config.variant == "bor" else labels.aa
+    return np.array([aa, labels.au, labels.uu])[batch.classes]
 
 
 def _weight_square_sum(params: PReNetParams) -> float:
@@ -228,9 +244,7 @@ def _weight_square_sum(params: PReNetParams) -> float:
     return total
 
 
-def objective_and_gradients(
-    model: Model, batch: PairBatch | InstanceBatch
-) -> tuple[float, PReNetParams]:
+def objective_and_gradients(model: Model, batch: Batch) -> tuple[float, PReNetParams]:
     """One forward/backward pass over a batch. The objective is the mean
     absolute error of the scores against :func:`batch_targets` plus
     l2_lambda times the sum of squared weights (biases excluded).
@@ -256,7 +270,8 @@ def objective_and_gradients(
     p = model.params
     scores, (acts, pres) = forward(model, batch.rows, batch.positions)
     residual = scores - batch_targets(cfg, batch)
-    mae = float(np.mean(np.abs(residual)))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which train rejects
+        mae = float(np.mean(np.abs(residual)))
     objective = mae + cfg.l2_lambda * _weight_square_sum(p)
     sign = np.sign(residual)
     n, n_rows = residual.shape[0], acts[0].shape[0]
@@ -266,12 +281,12 @@ def objective_and_gradients(
 
     lam2 = 2.0 * cfg.l2_lambda
     g_out_w = matmul(g_rows.T, acts[-1]).ravel() + lam2 * p.output_weights
-    g_hidden_w, g_hidden_b = [], []
-    if p.hidden_weights:
+    g_hidden_w, g_hidden_b, weights = [], [], p.hidden_weights
+    if weights:
         ones = np.ones((1, n_rows))
         delta = matmul(g_rows, head_matrix(model).T) * (pres[-1] > 0.0)
-        for layer in range(len(p.hidden_weights) - 1, -1, -1):
-            w = p.hidden_weights[layer]
+        for layer in range(len(weights) - 1, -1, -1):
+            w = weights[layer]
             g_hidden_w.insert(0, matmul(acts[layer].T, delta) + lam2 * w)
             g_hidden_b.insert(0, matmul(ones, delta).ravel())
             if layer > 0:

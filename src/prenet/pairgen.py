@@ -1,6 +1,7 @@
 """Pairing-based data augmentation: stratified batches of instance
-pairs with ordinal targets, plus closed-form calculators for the
-behavior of the augmented training stream under contamination.
+pairs (or single instances) that carry each slot's pair class, the
+ordinal targets per class, and closed-form calculators for the behavior
+of the augmented training stream under contamination.
 """
 
 from __future__ import annotations
@@ -25,83 +26,59 @@ class PairClass(IntEnum):
 @dataclass(frozen=True)
 class OrdinalLabels:
     """Ordinal regression targets per pair class, decreasing with the
-    number of labeled anomalies in the pair: aa > au > uu >= 0."""
+    number of labeled anomalies in the pair: aa > au > uu >= 0, all
+    finite."""
 
     aa: float = 8.0
     au: float = 4.0
     uu: float = 0.0
 
     def __post_init__(self):
-        if not (self.aa > self.au > self.uu >= 0.0):
+        if not (np.inf > self.aa > self.au > self.uu >= 0.0):
             raise ValueError(
-                f"ordinal labels must satisfy aa > au > uu >= 0, "
+                f"ordinal labels must be finite with aa > au > uu >= 0, "
                 f"got ({self.aa}, {self.au}, {self.uu})"
             )
 
 
 @dataclass
-class PairBatch:
-    """Stratified mini-batch of ordered instance pairs, held as its
+class Batch:
+    """Stratified mini-batch of pair or instance slots, held as its
     distinct store rows.
 
     ``rows`` holds each store row the batch uses once, in ascending
-    store order (``row_index``); ``positions`` is the ``2 x batch``
-    array of each slot's position among them, row 0 for the left stream
-    and row 1 for the right. Slot layout is the AA block, then AU, then
-    UU. AU slots always carry the labeled anomaly on the left.
+    store order (``row_index``); ``positions`` is the ``streams x
+    batch`` array of each slot's position among them: row 0 for the
+    left stream and row 1 for the right in a pair batch, one row in an
+    instance batch. ``classes`` holds each slot's :class:`PairClass`;
+    an instance from A is ``AU`` and one from U is ``UU``. Only
+    :func:`prenet.model.batch_targets` turns classes into targets.
     """
 
     rows: np.ndarray
     row_index: np.ndarray
     positions: np.ndarray
-    targets: np.ndarray
     classes: np.ndarray
 
     def __len__(self) -> int:
-        return self.targets.shape[0]
+        return self.classes.shape[0]
 
     @property
-    def left_index(self) -> np.ndarray:
-        """Store index of each slot's left member."""
-        return self.row_index[self.positions[0]]
-
-    @property
-    def right_index(self) -> np.ndarray:
-        """Store index of each slot's right member."""
-        return self.row_index[self.positions[1]]
+    def slot_index(self) -> np.ndarray:
+        """Store index of each slot, ``streams x batch``."""
+        return self.row_index[self.positions]
 
 
-@dataclass
-class InstanceBatch:
-    """Single-instance mini-batch for the one-stream ablation: half
-    labeled anomalies (target au), half unlabeled (target uu). Held like
-    :class:`PairBatch`, with a ``1 x batch`` ``positions`` array."""
-
-    rows: np.ndarray
-    row_index: np.ndarray
-    positions: np.ndarray
-    targets: np.ndarray
-    from_anomaly_pool: np.ndarray
-
-    def __len__(self) -> int:
-        return self.targets.shape[0]
-
-    @property
-    def index(self) -> np.ndarray:
-        """Store index of each slot."""
-        return self.row_index[self.positions[0]]
-
-
-def _distinct_rows(
-    split: WeakSupervisionSplit, slot_index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct store rows of a ``streams x batch`` array of slot
-    indices, in ascending store order, their store indices, and each
-    slot's position among them. Sorting the slots costs the same
-    whatever the size of the store."""
+def _batch(
+    split: WeakSupervisionSplit, slot_index: np.ndarray, counts: list[int], classes: list
+) -> Batch:
+    """The batch of a ``streams x batch`` array of slot indices whose slots
+    run in blocks of ``counts`` slots of each of ``classes``. Sorting the
+    slots costs the same whatever the size of the store."""
     row_index, positions = np.unique(slot_index.ravel(), return_inverse=True)
     rows = split.features.take(row_index, axis=0)
-    return rows, row_index, positions.reshape(slot_index.shape)
+    slot_classes = np.repeat(np.array(classes, np.uint8), counts)
+    return Batch(rows, row_index, positions.reshape(slot_index.shape), slot_classes)
 
 
 def _pick(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,12 +86,10 @@ def _pick(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_pair_batch(
-    split: WeakSupervisionSplit,
-    batch_size: int,
-    labels: OrdinalLabels,
-    rng: np.random.Generator,
-) -> PairBatch:
-    """Draw a stratified pair batch: b/4 AA, b/4 AU, b/2 UU.
+    split: WeakSupervisionSplit, batch_size: int, rng: np.random.Generator
+) -> Batch:
+    """Draw a stratified pair batch: b/4 AA, b/4 AU, b/2 UU, in that
+    block order. AU slots carry the labeled anomaly on the left.
 
     Sampling is uniform with replacement within each pool (self-pairs
     allowed), so the batch is well defined even for tiny pools. The
@@ -124,8 +99,7 @@ def sample_pair_batch(
         raise ValueError(f"batch_size must be a positive multiple of 4, got {batch_size}")
     if split.n_labeled < 1 or split.n_unlabeled < 1:
         raise ValueError("both A and U must be nonempty for pair sampling")
-    n_aa = batch_size // 4
-    n_au = batch_size // 4
+    n_aa = n_au = batch_size // 4
     n_uu = batch_size // 2
     aa_l = _pick(split.labeled_idx, n_aa, rng)
     aa_r = _pick(split.labeled_idx, n_aa, rng)
@@ -133,35 +107,22 @@ def sample_pair_batch(
     au_r = _pick(split.unlabeled_idx, n_au, rng)
     uu_l = _pick(split.unlabeled_idx, n_uu, rng)
     uu_r = _pick(split.unlabeled_idx, n_uu, rng)
-    slot_index = np.stack(
-        [np.concatenate([aa_l, au_l, uu_l]), np.concatenate([aa_r, au_r, uu_r])]
-    )
-    counts = [n_aa, n_au, n_uu]
-    classes = np.repeat(np.array([PairClass.AA, PairClass.AU, PairClass.UU], np.uint8), counts)
-    targets = np.repeat([labels.aa, labels.au, labels.uu], counts)
-    return PairBatch(*_distinct_rows(split, slot_index), targets=targets, classes=classes)
+    slot_index = np.stack([np.concatenate([aa_l, au_l, uu_l]), np.concatenate([aa_r, au_r, uu_r])])
+    return _batch(split, slot_index, [n_aa, n_au, n_uu], list(PairClass))
 
 
 def sample_instance_batch(
-    split: WeakSupervisionSplit,
-    batch_size: int,
-    labels: OrdinalLabels,
-    rng: np.random.Generator,
-) -> InstanceBatch:
-    """Draw a balanced single-instance batch: b/2 from A, b/2 from U."""
+    split: WeakSupervisionSplit, batch_size: int, rng: np.random.Generator
+) -> Batch:
+    """Draw a balanced single-instance batch: b/2 from A (class AU), b/2
+    from U (class UU)."""
     if batch_size < 2 or batch_size % 2:
         raise ValueError(f"batch_size must be a positive multiple of 2, got {batch_size}")
     half = batch_size // 2
     a_idx = _pick(split.labeled_idx, half, rng)
     u_idx = _pick(split.unlabeled_idx, half, rng)
     slot_index = np.concatenate([a_idx, u_idx])[None, :]
-    targets = np.concatenate([np.full(half, labels.au), np.full(half, labels.uu)])
-    from_anomaly = np.concatenate(
-        [np.ones(half, dtype=bool), np.zeros(half, dtype=bool)]
-    )
-    return InstanceBatch(
-        *_distinct_rows(split, slot_index), targets=targets, from_anomaly_pool=from_anomaly
-    )
+    return _batch(split, slot_index, [half, half], [PairClass.AU, PairClass.UU])
 
 
 def _check_eps(eps: float) -> float:

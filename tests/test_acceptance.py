@@ -37,14 +37,14 @@ from prenet.model import (
 )
 from prenet.ndcore import finite_diff_grad, make_rng
 from prenet.pairgen import (
-    OrdinalLabels,
+    Batch,
     PairClass,
     expected_true_relation_proportions,
     mislabel_fraction,
     sample_pair_batch,
 )
 
-LABELS = OrdinalLabels()
+PRENET = ModelConfig("prenet", 4)
 
 # two-Gaussian end-to-end fixture; the robustness check uses the same
 # family with more anomalies so a 5% injection stays within capacity
@@ -125,40 +125,21 @@ class TestCriterion1Gradients:
 
 
 def _pair_batch(n_aa, n_au, n_uu, dim, rng):
-    from prenet.pairgen import PairBatch
-
-    classes = np.concatenate(
-        [
-            np.full(n_aa, PairClass.AA, dtype=np.uint8),
-            np.full(n_au, PairClass.AU, dtype=np.uint8),
-            np.full(n_uu, PairClass.UU, dtype=np.uint8),
-        ]
-    )
-    targets = np.concatenate(
-        [np.full(n_aa, LABELS.aa), np.full(n_au, LABELS.au), np.full(n_uu, LABELS.uu)]
-    )
     b = n_aa + n_au + n_uu
-    return PairBatch(
+    return Batch(
         rows=rng.standard_normal((2 * b, dim)),
         row_index=np.arange(2 * b),
         positions=np.arange(2 * b).reshape(2, b),
-        targets=targets,
-        classes=classes,
+        classes=np.repeat(np.array(list(PairClass), np.uint8), [n_aa, n_au, n_uu]),
     )
 
 
 def _instance_batch(n, dim, rng):
-    from prenet.pairgen import InstanceBatch
-
-    half = n // 2
-    return InstanceBatch(
+    return Batch(
         rows=rng.standard_normal((n, dim)),
         row_index=np.arange(n),
         positions=np.arange(n)[None, :],
-        targets=np.concatenate([np.full(half, LABELS.au), np.full(n - half, LABELS.uu)]),
-        from_anomaly_pool=np.concatenate(
-            [np.ones(half, dtype=bool), np.zeros(n - half, dtype=bool)]
-        ),
+        classes=np.repeat(np.array([PairClass.AU, PairClass.UU], np.uint8), [n // 2, n - n // 2]),
     )
 
 
@@ -175,7 +156,8 @@ class TestCriterion2BatchComposition:
         rng = make_rng(8)
         ok = True
         for _ in range(1000):
-            batch = sample_pair_batch(split, 512, LABELS, rng)
+            batch = sample_pair_batch(split, 512, rng)
+            targets = batch_targets(PRENET, batch)
             aa = batch.classes == PairClass.AA
             au = batch.classes == PairClass.AU
             uu = batch.classes == PairClass.UU
@@ -183,9 +165,9 @@ class TestCriterion2BatchComposition:
                 aa.sum() == 128
                 and au.sum() == 128
                 and uu.sum() == 256
-                and np.all(batch.targets[aa] == 8.0)
-                and np.all(batch.targets[au] == 4.0)
-                and np.all(batch.targets[uu] == 0.0)
+                and np.all(targets[aa] == 8.0)
+                and np.all(targets[au] == 4.0)
+                and np.all(targets[uu] == 0.0)
             ):
                 ok = False
                 break
@@ -206,8 +188,8 @@ class TestCriterion3TheoryVsMonteCarlo:
         n_pairs = 0
         uu_total = uu_hit = 0
         for _ in range(196):  # 196*512 = 100352 pairs
-            batch = sample_pair_batch(split, 512, LABELS, rng)
-            both = split.true_labels[batch.left_index] + split.true_labels[batch.right_index]
+            batch = sample_pair_batch(split, 512, rng)
+            both = split.true_labels[batch.slot_index].sum(axis=0)
             totals += [(both == 2).sum(), (both == 1).sum(), (both == 0).sum()]
             n_pairs += len(batch)
             uu = batch.classes == PairClass.UU

@@ -65,6 +65,11 @@ class TestTheory:
     def test_bad_labels_exit_2(self):
         assert main(["theory", "--eps", "0.1", "--labels", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("labels", ["inf,4,0", "nan,4,0", "8,4,-inf"])
+    def test_non_finite_labels_exit_2(self, labels, capsys):
+        assert main(["theory", "--eps", "0.1", "--labels", labels]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_writes_csv(self, tmp_path):
@@ -258,6 +263,10 @@ class TestAblateSweep:
         ]) == 0
         doc = json.loads(out.read_text())
         assert set(doc["rates"]) == {"0.0", "0.05"}
+        # one experiment report per rate, with the spec the rate ran under
+        for rate, report in doc["rates"].items():
+            assert report["config"]["contamination"] == float(rate)
+            assert report["variant"] == "prenet" and len(report["auc_pr"]["runs"]) == 1
 
 
 class TestHelpAndExitCodes:
@@ -363,11 +372,10 @@ def test_every_train_flag_changes_the_training(flag, trained, tmp_path):
 
 # ablate and sweep on one run with FAST's training; sweep on two rates
 RUN_FAST = [*FAST, "--runs", "1", "--ensemble-size", "4"]
-# A value other than RUN_FAST's for each flag of ablate and sweep. The sweep
-# report holds metrics only, and its short training scores every pair below
-# 8 and 4, so only a new uu target moves the residual signs there.
-RUN_FLAG_VALUES = {**TRAIN_FLAG_VALUES, "--labels": ["8,4,1"], "--runs": ["2"],
-                   "--train-fraction": ["0.7"], "--ensemble-size": ["5"], "--rates": ["0.05"]}
+# A value other than RUN_FAST's for each flag of ablate and sweep. Both
+# reports hold one experiment report, config included, per variant or rate.
+RUN_FLAG_VALUES = {**TRAIN_FLAG_VALUES, "--runs": ["2"], "--train-fraction": ["0.7"],
+                   "--ensemble-size": ["5"], "--rates": ["0.05"]}
 # flags of ablate and sweep that change no result: help, files, columns and workers
 RUN_FILE_FLAGS = {"--help", "--output", "--data", "--label-column", "--anomaly-value",
                   "--jobs", "--spec-file"}
@@ -518,6 +526,13 @@ MALFORMED_INPUTS = [
     ("jobs_zero",
      lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST_EXPERIMENT,
                                    "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),
+    ("train_labels_inf",
+     lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "inf,4,0",
+                                   "-o", str(tmp_path / "m.json")], 2),
+    # finite targets whose absolute errors sum past the float64 range
+    ("train_labels_objective_overflow",
+     lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "1e308,4,0",
+                                   "-o", str(tmp_path / "m.json")], 4),
     ("sweep_duplicate_rate",
      lambda tmp_path, data, ckpt: ["sweep", "--data", str(data), *FAST_EXPERIMENT,
                                    "--rates", "0.02,0.020,0", "-o", str(tmp_path / "sw.json")],

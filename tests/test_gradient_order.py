@@ -24,15 +24,15 @@ from prenet.model import (
     RMSPROP_RHO,
     ModelConfig,
     OptimizerState,
+    batch_targets,
     build_variant,
     forward,
     objective_and_gradients,
     rmsprop_step,
 )
 from prenet.ndcore import make_rng
-from prenet.pairgen import OrdinalLabels, sample_instance_batch, sample_pair_batch
+from prenet.pairgen import sample_instance_batch, sample_pair_batch
 
-LABELS = OrdinalLabels()
 HIDDEN = {"prenet": (3,), "a2h": (3, 3, 3), "osnet": (3,)}
 
 
@@ -56,7 +56,7 @@ def sampled(variant, batch_size, seed):
     for b in model.params.hidden_biases:
         b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
     sample = sample_pair_batch if model.config.is_pairwise else sample_instance_batch
-    return model, sample(split, batch_size, LABELS, rng)
+    return model, sample(split, batch_size, rng)
 
 
 def dot(terms) -> float:
@@ -103,7 +103,8 @@ def scalar_objective_and_gradients(model, batch):
         for s in range(n_streams):
             total += c[pos[s][i]][s]
         scores.append(total + p.output_bias)
-    residual = [sc - t for sc, t in zip(scores, batch.targets.tolist())]
+    labels = [cfg.labels.aa, cfg.labels.au, cfg.labels.uu]
+    residual = [sc - labels[c] for sc, c in zip(scores, batch.classes.tolist())]
     # The mean absolute error and the weight-square sum are NumPy
     # reductions whose order this reimplementation does not redefine.
     square_sum = sum(float(np.sum(w * w)) for w in p.hidden_weights)
@@ -218,10 +219,8 @@ def test_training_step_runs_the_stack_once_per_distinct_row(monkeypatch, variant
     )
     model = build_variant(ModelConfig(variant, 3), rng)
     sample = sample_pair_batch if model.config.is_pairwise else sample_instance_batch
-    batch = sample(split, 256, LABELS, rng)
-    slots = np.concatenate(
-        [batch.left_index, batch.right_index] if model.config.is_pairwise else [batch.index]
-    )
+    batch = sample(split, 256, rng)
+    slots = batch.slot_index.ravel()
     rows = []
     real_stack = model_module._forward_stack
 
@@ -251,5 +250,6 @@ def test_objective_bytes_equal_per_slot_scores(variant, batch_size):
     p = model.params
     square_sum = sum(float(np.sum(w * w)) for w in p.hidden_weights)
     square_sum += float(np.sum(p.output_weights * p.output_weights))
-    expect = float(np.mean(np.abs(scores - batch.targets))) + model.config.l2_lambda * square_sum
+    mae = float(np.mean(np.abs(scores - batch_targets(model.config, batch))))
+    expect = mae + model.config.l2_lambda * square_sum
     assert float_bytes([objective_and_gradients(model, batch)[0]]) == float_bytes([expect])

@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+import prenet.model as model_module
 from prenet.dataset import WeakSupervisionSplit
 from prenet.errors import NumericError
 from prenet.model import (
@@ -20,15 +24,22 @@ from prenet.model import (
 )
 from prenet.ndcore import finite_diff_grad, make_rng
 from prenet.pairgen import (
-    InstanceBatch,
+    Batch,
     OrdinalLabels,
-    PairBatch,
     PairClass,
     sample_instance_batch,
     sample_pair_batch,
 )
 
-LABELS = OrdinalLabels()
+# Target of a slot by how many of its members come from A, per variant,
+# for labels 9,5,1 (none of them a default, so a hard-coded 8/4/0 fails)
+TARGETS_BY_A_MEMBERS = {
+    "prenet": [1.0, 5.0, 9.0],
+    "a2h": [1.0, 5.0, 9.0],
+    "ldm": [1.0, 5.0, 9.0],
+    "bor": [1.0, 5.0, 5.0],
+    "osnet": [1.0, 5.0],
+}
 
 
 def pair_score(model, a, b):
@@ -40,45 +51,31 @@ def objective(model, batch):
     return objective_and_gradients(model, batch)[0]
 
 
-def make_pair_batch(n_aa, n_au, n_uu, dim, rng, labels=LABELS):
+def make_pair_batch(n_aa, n_au, n_uu, dim, rng):
     """A batch of all-distinct random rows: slot i pairs row i with row b + i."""
     b = n_aa + n_au + n_uu
-    classes = np.concatenate(
-        [
-            np.full(n_aa, PairClass.AA, dtype=np.uint8),
-            np.full(n_au, PairClass.AU, dtype=np.uint8),
-            np.full(n_uu, PairClass.UU, dtype=np.uint8),
-        ]
-    )
-    targets = np.concatenate(
-        [np.full(n_aa, labels.aa), np.full(n_au, labels.au), np.full(n_uu, labels.uu)]
-    )
-    return PairBatch(
+    return Batch(
         rows=rng.standard_normal((2 * b, dim)),
         row_index=np.arange(2 * b),
         positions=np.arange(2 * b).reshape(2, b),
-        targets=targets,
-        classes=classes,
+        classes=np.repeat(np.array(list(PairClass), np.uint8), [n_aa, n_au, n_uu]),
     )
 
 
-def make_instance_batch(n, dim, rng, labels=LABELS):
-    half = n // 2
-    return InstanceBatch(
+def make_instance_batch(n, dim, rng):
+    """A batch of n distinct random rows, the first half from A."""
+    return Batch(
         rows=rng.standard_normal((n, dim)),
         row_index=np.arange(n),
         positions=np.arange(n)[None, :],
-        targets=np.concatenate([np.full(half, labels.au), np.full(n - half, labels.uu)]),
-        from_anomaly_pool=np.concatenate(
-            [np.ones(half, dtype=bool), np.zeros(n - half, dtype=bool)]
-        ),
+        classes=np.repeat(np.array([PairClass.AU, PairClass.UU], np.uint8), [n // 2, n - n // 2]),
     )
 
 
 def batch_for(config, dim, rng):
     if config.variant == "osnet":
-        return make_instance_batch(8, dim, rng, config.labels)
-    return make_pair_batch(2, 2, 4, dim, rng, config.labels)
+        return make_instance_batch(8, dim, rng)
+    return make_pair_batch(2, 2, 4, dim, rng)
 
 
 def sampled_batch_for(config, dim, rng):
@@ -92,7 +89,7 @@ def sampled_batch_for(config, dim, rng):
         contamination_rate=0.0,
     )
     sample = sample_pair_batch if config.is_pairwise else sample_instance_batch
-    batch = sample(split, 8, config.labels, rng)
+    batch = sample(split, 8, rng)
     assert len(batch.rows) < 8 * len(batch.positions)
     return batch
 
@@ -246,7 +243,7 @@ class TestLossAndObjective:
         batch = make_pair_batch(2, 2, 4, 3, rng)
         scores, _ = forward(model, batch.rows, batch.positions)
         assert objective(model, batch) == pytest.approx(
-            np.mean(np.abs(batch.targets - scores)), rel=1e-15
+            np.mean(np.abs(batch_targets(cfg, batch) - scores)), rel=1e-15
         )
 
     def test_objective_linear_in_lambda(self):
@@ -269,6 +266,25 @@ class TestLossAndObjective:
         batch = make_pair_batch(2, 2, 4, 3, make_rng(0))
         t = batch_targets(cfg, batch)
         assert list(t) == [4.0, 4.0, 4.0, 4.0, 0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_class_to_target_table(self, variant):
+        """Each variant's sampler and batch_targets give a slot the target
+        of its number of members drawn from A."""
+        split = WeakSupervisionSplit(
+            features=np.zeros((8, 2)),
+            true_labels=np.zeros(8, dtype=np.int64),
+            labeled_idx=np.array([1, 4, 6]),
+            unlabeled_idx=np.array([0, 2, 3, 5, 7]),
+            contamination_rate=0.0,
+        )
+        cfg = ModelConfig(variant, 2, labels=OrdinalLabels(9.0, 5.0, 1.0))
+        sample = sample_pair_batch if cfg.is_pairwise else sample_instance_batch
+        batch = sample(split, 64, make_rng(0))
+        from_a = np.isin(batch.slot_index, split.labeled_idx).sum(axis=0)
+        expect = np.array(TARGETS_BY_A_MEMBERS[variant])[from_a]
+        assert np.array_equal(batch_targets(cfg, batch), expect)
+        assert set(from_a) == set(range(len(TARGETS_BY_A_MEMBERS[variant])))
 
     def test_empty_batch_rejected(self):
         model = build_variant(ModelConfig("prenet", 3), make_rng(0))
@@ -339,22 +355,23 @@ class TestGradients:
             assert err < 1e-4, f"{variant} seed {seed - 1}: rel err {err}"
             checked += 1
 
-    def test_zero_residual_zero_lambda_gives_zero_gradients(self):
+    def test_zero_residual_zero_lambda_gives_zero_gradients(self, monkeypatch):
         cfg = ModelConfig("prenet", 3, l2_lambda=0.0)
         model = build_variant(cfg, make_rng(0))
         batch = make_pair_batch(1, 1, 2, 3, make_rng(1))
         scores, _ = forward(model, batch.rows, batch.positions)
-        batch.targets = scores.copy()  # every pair already perfectly fitted
+        # every pair already perfectly fitted
+        monkeypatch.setattr(model_module, "batch_targets", lambda config, b: scores.copy())
         grads = objective_and_gradients(model, batch)[1]
         assert np.array_equal(grads.vector, np.zeros_like(model.params.vector))
 
-    def test_lambda_only_gradient_is_2_lambda_w(self):
+    def test_lambda_only_gradient_is_2_lambda_w(self, monkeypatch):
         lam = 0.05
         cfg = ModelConfig("prenet", 3, l2_lambda=lam)
         model = build_variant(cfg, make_rng(2))
         batch = make_pair_batch(1, 1, 2, 3, make_rng(3))
         scores, _ = forward(model, batch.rows, batch.positions)
-        batch.targets = scores.copy()
+        monkeypatch.setattr(model_module, "batch_targets", lambda config, b: scores.copy())
         grads = objective_and_gradients(model, batch)[1]
         assert np.allclose(grads.hidden_weights[0], 2 * lam * model.params.hidden_weights[0])
         assert np.allclose(grads.output_weights, 2 * lam * model.params.output_weights)
@@ -459,6 +476,35 @@ class TestVectorRoundTrip:
         model = build_variant(ModelConfig("prenet", 3), make_rng(0))
         with pytest.raises(ValueError):
             model.params.with_vector(np.zeros(3))
+
+
+class TestParameterViews:
+    """The per-layer arrays are views of the vector that cannot be
+    detached from it."""
+
+    def test_layer_arrays_cannot_be_rebound(self):
+        params = build_variant(ModelConfig("prenet", 3), make_rng(0)).params
+        for name in ("hidden_weights", "hidden_biases", "output_weights"):
+            with pytest.raises(AttributeError):
+                setattr(params, name, getattr(params, name))
+        params.output_weights[:] = 2.0
+        assert np.all(params.vector[-41:-1] == 2.0)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda params: pickle.loads(pickle.dumps(params))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_reads_its_own_vector(self, duplicate):
+        params = build_variant(ModelConfig("a2h", 4, hidden_dims=(3, 2, 2)), make_rng(1)).params
+        original = params.vector.copy()
+        twin = duplicate(params)
+        twin.vector[:] = np.arange(twin.vector.size)
+        assert np.array_equal(params.vector, original)
+        assert twin.hidden_weights[0][0, 1] == 1.0
+        assert twin.hidden_biases[0][0] == sum(w.size for w in twin.hidden_weights)
+        assert twin.output_weights[-1] == twin.vector.size - 2
+        assert twin.output_bias == twin.vector.size - 1
 
 
 class TestCheckpoint:

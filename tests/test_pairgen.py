@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prenet.dataset import LabeledDataset, build_weak_supervision
+from prenet.model import ModelConfig, batch_targets
 from prenet.ndcore import make_rng
 from prenet.pairgen import (
     OrdinalLabels,
@@ -14,6 +15,7 @@ from prenet.pairgen import (
 )
 
 LABELS = OrdinalLabels()
+PRENET = ModelConfig("prenet", 3)
 
 
 def make_split(n_normal=100, n_anomaly=40, n_labeled=10, eps=0.0, dim=3, seed=0):
@@ -35,11 +37,16 @@ class TestOrdinalLabels:
             OrdinalLabels(8.0, 4.0, -1.0)
         OrdinalLabels(2.0, 1.0, 0.0)  # any decreasing nonnegative triple is fine
 
+    @pytest.mark.parametrize("aa", [np.inf, np.nan])
+    def test_non_finite_rejected(self, aa):
+        with pytest.raises(ValueError, match="finite"):
+            OrdinalLabels(aa, 4.0, 0.0)
+
 
 class TestSamplePairBatch:
     def test_composition_exact(self):
         split = make_split()
-        batch = sample_pair_batch(split, 512, LABELS, make_rng(0))
+        batch = sample_pair_batch(split, 512, make_rng(0))
         assert len(batch) == 512
         assert (batch.classes == PairClass.AA).sum() == 128
         assert (batch.classes == PairClass.AU).sum() == 128
@@ -47,13 +54,13 @@ class TestSamplePairBatch:
 
     def test_targets_follow_classes(self):
         split = make_split()
-        batch = sample_pair_batch(split, 64, LABELS, make_rng(1))
+        batch = sample_pair_batch(split, 64, make_rng(1))
         for cls, want in [(PairClass.AA, 8.0), (PairClass.AU, 4.0), (PairClass.UU, 0.0)]:
-            assert np.all(batch.targets[batch.classes == cls] == want)
+            assert np.all(batch_targets(PRENET, batch)[batch.classes == cls] == want)
 
     def test_block_order(self):
         split = make_split()
-        batch = sample_pair_batch(split, 16, LABELS, make_rng(2))
+        batch = sample_pair_batch(split, 16, make_rng(2))
         assert list(batch.classes) == [PairClass.AA] * 4 + [PairClass.AU] * 4 + [PairClass.UU] * 8
 
     def test_au_left_side_always_from_labeled_pool(self):
@@ -61,20 +68,20 @@ class TestSamplePairBatch:
         a_set = set(split.labeled_idx.tolist())
         u_set = set(split.unlabeled_idx.tolist())
         for seed in range(5):
-            batch = sample_pair_batch(split, 64, LABELS, make_rng(seed))
+            batch = sample_pair_batch(split, 64, make_rng(seed))
             au = batch.classes == PairClass.AU
-            assert all(i in a_set for i in batch.left_index[au])
-            assert all(i in u_set for i in batch.right_index[au])
+            assert all(i in a_set for i in batch.slot_index[0][au])
+            assert all(i in u_set for i in batch.slot_index[1][au])
 
     def test_indices_match_features(self):
         split = make_split()
-        batch = sample_pair_batch(split, 32, LABELS, make_rng(3))
+        batch = sample_pair_batch(split, 32, make_rng(3))
         assert np.array_equal(batch.rows, split.features[batch.row_index])
         assert np.all(np.diff(batch.row_index) > 0)  # distinct, ascending store order
         assert batch.positions.shape == (2, 32)
-        assert np.array_equal(batch.rows[batch.positions[0]], split.features[batch.left_index])
-        assert np.array_equal(batch.rows[batch.positions[1]], split.features[batch.right_index])
-        used = np.union1d(batch.left_index, batch.right_index)
+        assert np.array_equal(batch.rows[batch.positions[0]], split.features[batch.slot_index[0]])
+        assert np.array_equal(batch.rows[batch.positions[1]], split.features[batch.slot_index[1]])
+        used = np.union1d(batch.slot_index[0], batch.slot_index[1])
         assert np.array_equal(batch.row_index, used)
 
     def test_slot_indices_equal_direct_draws(self):
@@ -82,14 +89,14 @@ class TestSamplePairBatch:
         were: slot i pairs the store rows the six pool draws give."""
         split = make_split(n_labeled=3)
         rng, reference = make_rng(4), make_rng(4)
-        batch = sample_pair_batch(split, 16, LABELS, rng)
+        batch = sample_pair_batch(split, 16, rng)
         a, u = split.labeled_idx, split.unlabeled_idx
         draws = [
             pool[reference.integers(0, pool.size, size=n)]
             for pool, n in ((a, 4), (a, 4), (a, 4), (u, 4), (u, 8), (u, 8))
         ]
-        assert np.array_equal(batch.left_index, np.concatenate(draws[0::2]))
-        assert np.array_equal(batch.right_index, np.concatenate(draws[1::2]))
+        assert np.array_equal(batch.slot_index[0], np.concatenate(draws[0::2]))
+        assert np.array_equal(batch.slot_index[1], np.concatenate(draws[1::2]))
         assert len(batch.rows) < 32  # three A rows fill eight A slots
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -102,17 +109,17 @@ class TestSamplePairBatch:
             unlabeled_idx=split.unlabeled_idx[:1],
             contamination_rate=0.0,
         )
-        batch = sample_pair_batch(tiny, 4, LABELS, make_rng(0))
+        batch = sample_pair_batch(tiny, 4, make_rng(0))
         a, u = tiny.labeled_idx[0], tiny.unlabeled_idx[0]
-        assert list(batch.left_index) == [a, a, u, u]
-        assert list(batch.right_index) == [a, u, u, u]
+        assert list(batch.slot_index[0]) == [a, a, u, u]
+        assert list(batch.slot_index[1]) == [a, u, u, u]
 
     def test_batch_size_validation(self):
         split = make_split()
         with pytest.raises(ValueError):
-            sample_pair_batch(split, 6, LABELS, make_rng(0))
+            sample_pair_batch(split, 6, make_rng(0))
         with pytest.raises(ValueError):
-            sample_pair_batch(split, 0, LABELS, make_rng(0))
+            sample_pair_batch(split, 0, make_rng(0))
 
     def test_aa_left_uniform_over_pool(self):
         split = make_split(n_labeled=3)
@@ -120,8 +127,8 @@ class TestSamplePairBatch:
         rng = make_rng(11)
         n_batches = 10_000
         for _ in range(n_batches):
-            batch = sample_pair_batch(split, 4, LABELS, rng)
-            pos = np.searchsorted(split.labeled_idx, batch.left_index[0])
+            batch = sample_pair_batch(split, 4, rng)
+            pos = np.searchsorted(split.labeled_idx, batch.slot_index[0, 0])
             counts[pos] += 1
         freq = counts / n_batches
         assert np.all(np.abs(freq - 1.0 / 3.0) < 0.02)
@@ -130,24 +137,24 @@ class TestSamplePairBatch:
 class TestSampleInstanceBatch:
     def test_balance_and_targets(self):
         split = make_split()
-        batch = sample_instance_batch(split, 64, LABELS, make_rng(0))
-        assert batch.from_anomaly_pool.sum() == 32
-        assert np.all(batch.targets[batch.from_anomaly_pool] == 4.0)
-        assert np.all(batch.targets[~batch.from_anomaly_pool] == 0.0)
+        batch = sample_instance_batch(split, 64, make_rng(0))
+        assert list(batch.classes) == [PairClass.AU] * 32 + [PairClass.UU] * 32
+        targets = batch_targets(ModelConfig("osnet", 3), batch)
+        assert list(targets) == [4.0] * 32 + [0.0] * 32
 
     def test_pool_membership(self):
         split = make_split()
-        batch = sample_instance_batch(split, 32, LABELS, make_rng(1))
+        batch = sample_instance_batch(split, 32, make_rng(1))
         a_set = set(split.labeled_idx.tolist())
-        for i, from_a in zip(batch.index, batch.from_anomaly_pool):
-            assert (i in a_set) == bool(from_a)
+        for i, cls in zip(batch.slot_index[0], batch.classes):
+            assert (i in a_set) == (cls == PairClass.AU)
         assert batch.positions.shape == (1, 32)
         assert np.all(np.diff(batch.row_index) > 0)
-        assert np.array_equal(batch.rows[batch.positions[0]], split.features[batch.index])
+        assert np.array_equal(batch.rows[batch.positions[0]], split.features[batch.slot_index[0]])
 
     def test_odd_batch_rejected(self):
         with pytest.raises(ValueError):
-            sample_instance_batch(make_split(), 3, LABELS, make_rng(0))
+            sample_instance_batch(make_split(), 3, make_rng(0))
 
 
 class TestTheoryCalculators:
@@ -221,9 +228,9 @@ class TestEmpiricalProportions:
         uu_total = 0
         uu_mislabeled = 0
         for _ in range(196):  # 196 * 512 > 1e5 pairs
-            batch = sample_pair_batch(split, 512, LABELS, rng)
-            lt = split.true_labels[batch.left_index]
-            rt = split.true_labels[batch.right_index]
+            batch = sample_pair_batch(split, 512, rng)
+            lt = split.true_labels[batch.slot_index[0]]
+            rt = split.true_labels[batch.slot_index[1]]
             both = lt + rt
             counts["aa"] += int((both == 2).sum())
             counts["an"] += int((both == 1).sum())
@@ -247,9 +254,9 @@ class TestEmpiricalProportions:
         rng = make_rng(7)
         total, count = np.zeros((2, 2)), np.zeros((2, 2))
         for _ in range(400):
-            batch = sample_pair_batch(split, 512, LABELS, rng)
-            cell = (true[batch.left_index], true[batch.right_index])
-            np.add.at(total, cell, batch.targets)
+            batch = sample_pair_batch(split, 512, rng)
+            cell = (true[batch.slot_index[0]], true[batch.slot_index[1]])
+            np.add.at(total, cell, batch_targets(PRENET, batch))
             np.add.at(count, cell, 1)
         fit = total / count
         # pair every true anomaly and true normal of the store with drawn partners
