@@ -10,7 +10,6 @@ from .dataset import (
     build_weak_supervision,
     load_csv,
     save_csv,
-    standardize,
     standardize_split,
     stratified_split,
 )
@@ -24,9 +23,8 @@ from .harness import (
     ExperimentSpec,
     SyntheticSpec,
     generate_synthetic,
-    run_ablation_suite,
-    run_contamination_sweep,
     run_experiment,
+    run_grid,
 )
 from .metrics import (
     AggregateReport,

@@ -21,16 +21,14 @@ from .errors import DataError, NumericError
 from .harness import (
     ExperimentSpec,
     SyntheticSpec,
-    ablation_report_json,
     build_world,
     experiment_report_json,
     generate_synthetic,
+    grid_report_json,
     load_source,
     parse_spec_file,
-    run_ablation_suite,
-    run_contamination_sweep,
     run_experiment,
-    sweep_report_json,
+    run_grid,
     train_config_for,
     train_report_json,
 )
@@ -50,6 +48,10 @@ def _parse_labels(text: str) -> OrdinalLabels:
     if len(parts) != 3:
         raise ValueError(f"--labels expects 'aa,au,uu', got {text!r}")
     return OrdinalLabels(float(parts[0]), float(parts[1]), float(parts[2]))
+
+
+def _parse_floats(text: str) -> list[float]:
+    return [float(p) for p in text.split(",")]
 
 
 def _parse_hidden_dims(text: str | None) -> tuple[int, ...] | None:
@@ -247,28 +249,16 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def cmd_grid(args) -> int:
     spec = _spec_from_args(args)
-    results = run_ablation_suite(spec, jobs=args.jobs)
-    for variant, agg in results.items():
+    results = run_grid(spec, args.field, args.values, jobs=args.jobs)
+    for value, agg in results.items():
         print(
-            f"{variant:7s} auc_roc {agg.auc_roc_mean:.4f}±{agg.auc_roc_std:.4f}  "
+            f"{args.field} {value}: auc_roc {agg.auc_roc_mean:.4f}±{agg.auc_roc_std:.4f}  "
             f"auc_pr {agg.auc_pr_mean:.4f}±{agg.auc_pr_std:.4f}"
         )
-    _write_json(args.output, ablation_report_json(spec, results, {"generated_at": _timestamp()}))
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
-    rates = [float(r) for r in args.rates.split(",")]
-    results = run_contamination_sweep(spec, rates, jobs=args.jobs)
-    for rate, agg in results.items():
-        print(
-            f"contamination {rate:g}: auc_roc {agg.auc_roc_mean:.4f}  "
-            f"auc_pr {agg.auc_pr_mean:.4f}"
-        )
-    _write_json(args.output, sweep_report_json(spec, results, {"generated_at": _timestamp()}))
+    doc = grid_report_json(spec, args.field, results, {"generated_at": _timestamp()})
+    _write_json(args.output, doc)
     return 0
 
 
@@ -355,15 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p)
     _add_contamination_flag(p)
     p.add_argument("-o", "--output", required=True, help="per-variant report JSON path")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_grid, field="variant", values=VARIANTS)
 
     p = sub.add_parser("sweep", help="repeat an experiment across contamination rates")
     _add_experiment_flags(p)
     _add_variant_flags(p)
-    p.add_argument("--rates", default="0,0.02,0.05,0.1",
-                   help="comma-separated contamination rates")
+    p.add_argument("--rates", default="0,0.02,0.05,0.1", dest="values", metavar="RATES",
+                   type=_parse_floats, help="comma-separated contamination rates")
     p.add_argument("-o", "--output", required=True, help="sweep report JSON path")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_grid, field="contamination")
 
     p = sub.add_parser("theory", help="closed-form expectations for a contamination rate")
     p.add_argument("--eps", type=float, required=True, help="contamination rate in [0, 1)")

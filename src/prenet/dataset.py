@@ -324,29 +324,6 @@ def build_weak_supervision(
     )
 
 
-def _fit_standardization(train_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and divisor of each feature; a feature with (population) std
-    below 1e-12 is centered only."""
-    std = train_features.std(axis=0)
-    return train_features.mean(axis=0), np.where(std < 1e-12, 1.0, std)
-
-
-def standardize(
-    train_features: np.ndarray, *other_features: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Center/scale by training statistics; apply the same map everywhere.
-
-    Features with (population) std below 1e-12 are centered only.
-    Returns ``(transformed, mean, scale)`` with the training matrix
-    first in ``transformed``; ``scale`` is the divisor actually used.
-    """
-    mean, scale = _fit_standardization(np.asarray(train_features, dtype=np.float64))
-    transformed = tuple(
-        apply_standardization(x, mean, scale) for x in (train_features, *other_features)
-    )
-    return transformed, mean, scale
-
-
 def apply_standardization(
     features: np.ndarray, mean: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
@@ -357,11 +334,14 @@ def apply_standardization(
 def standardize_split(
     split: WeakSupervisionSplit,
 ) -> tuple[WeakSupervisionSplit, np.ndarray, np.ndarray]:
-    """Standardize a split's store (fit on A ∪ U rows) and its test data;
-    the index lists and labels are shared with ``split``, which nothing
-    mutates."""
-    fit_rows = np.concatenate([split.unlabeled_idx, split.labeled_idx])
-    mean, scale = _fit_standardization(split.features[fit_rows])
+    """Standardize a split's store and its test data by the mean and
+    (population) std of the A ∪ U rows; a feature with std below 1e-12 is
+    centered only. Returns ``(split, mean, scale)``, ``scale`` being the
+    divisor used; the index lists and labels are shared with ``split``,
+    which nothing mutates."""
+    fit = split.features[np.concatenate([split.unlabeled_idx, split.labeled_idx])]
+    std = fit.std(axis=0)
+    mean, scale = fit.mean(axis=0), np.where(std < 1e-12, 1.0, std)
     test = split.test_features
     new = replace(
         split,

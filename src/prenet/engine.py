@@ -289,8 +289,8 @@ def write_scores_csv(path, scores: np.ndarray, true_labels: np.ndarray | None = 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a scores CSV; returns (scores, labels or None). Raises
-    :class:`SchemaError` for a row without a finite score, or with a
-    true label other than 0 or 1."""
+    :class:`SchemaError` for a file without data rows, or a row without a
+    finite score or with a true label other than 0 or 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -315,4 +315,6 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
                 )
             scores.append(score)
             labels.append(int(label))
+    if not scores:
+        raise SchemaError(f"{path}: no data rows")
     return np.asarray(scores), (np.asarray(labels) if has_labels else None)

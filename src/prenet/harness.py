@@ -4,9 +4,12 @@ One run: stratified 80/20 split -> weak-supervision world -> optional
 standardization -> train -> score test set -> metrics. Run i of an
 experiment uses seed ``base_seed + i``, so any run is reproducible in
 isolation; the split construction consumes the seeded generator first,
-so every variant sees identical worlds under shared seeds. ``prenet
-train`` builds its world and training config with the same functions,
-:func:`build_world` and :func:`train_config_for`, on the whole file.
+so every variant sees identical worlds under shared seeds. A grid
+(:func:`run_grid`) repeats one experiment per value of one spec field:
+the ablation over ``variant``, the sweep over ``contamination``, the
+data-efficiency curve over ``n_labeled``. ``prenet train`` builds its
+world and training config with the same functions, :func:`build_world`
+and :func:`train_config_for`, on the whole file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -194,29 +197,16 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateReport:
     return aggregate_runs(reports)
 
 
-def _ablation_spec(spec: ExperimentSpec, variant: str) -> ExperimentSpec:
-    """The spec ``variant`` runs under in an ablation: custom
-    ``hidden_dims`` are dropped because the variants require different
-    hidden-layer counts, so each uses its own default stack."""
-    return replace(spec, variant=variant, hidden_dims=None)
-
-
-def run_ablation_suite(
-    spec: ExperimentSpec, variants: tuple[str, ...] = VARIANTS, jobs: int = 1
-) -> dict[str, AggregateReport]:
-    """Run every variant under identical per-run seeds (hence identical
-    splits: the world is drawn before any variant-specific randomness)."""
-    return {v: run_experiment(_ablation_spec(spec, v), jobs=jobs) for v in variants}
-
-
-def run_contamination_sweep(
-    spec: ExperimentSpec, rates: list[float], jobs: int = 1
-) -> dict[float, AggregateReport]:
-    """One experiment per contamination rate with shared base seeds; the
-    unlabeled pool is re-derived from the same training pool per rate."""
-    if len(set(rates)) != len(rates):
-        raise ValueError(f"contamination rates must be distinct, got {rates}")
-    return {r: run_experiment(replace(spec, contamination=r), jobs=jobs) for r in rates}
+def run_grid(
+    spec: ExperimentSpec, field: str, values: Iterable, jobs: int = 1
+) -> dict[object, AggregateReport]:
+    """One experiment per value of the spec field ``field``, under shared
+    base seeds (hence identical splits: the world is drawn before any
+    field-specific randomness)."""
+    values = list(values)
+    if len(set(values)) != len(values):
+        raise ValueError(f"{field} values must be distinct, got {values}")
+    return {v: run_experiment(replace(spec, **{field: v}), jobs=jobs) for v in values}
 
 
 def train_report_json(report: TrainReport) -> dict:
@@ -268,34 +258,22 @@ def experiment_report_json(
     return doc
 
 
-def ablation_report_json(
-    spec: ExperimentSpec, results: Mapping[str, AggregateReport], extra: Mapping | None = None
+def grid_report_json(
+    spec: ExperimentSpec,
+    field: str,
+    results: Mapping[object, AggregateReport],
+    extra: Mapping | None = None,
 ) -> dict:
-    """Machine-readable ablation report: one experiment report per variant,
-    each with the spec the variant ran under."""
-    return {
-        "dataset": spec.dataset_name(),
-        "seeds": [spec.base_seed + i for i in range(spec.n_runs)],
-        **(extra or {}),
-        "variants": {
-            v: experiment_report_json(_ablation_spec(spec, v), agg) for v, agg in results.items()
-        },
-    }
-
-
-def sweep_report_json(
-    spec: ExperimentSpec, results: Mapping[float, AggregateReport], extra: Mapping | None = None
-) -> dict:
-    """Machine-readable contamination-sweep report: one experiment report
-    per rate, keyed by ``repr(rate)``, each with the spec the rate ran
+    """Machine-readable grid report: one experiment report per value of
+    ``field``, keyed by ``str(value)``, each with the spec the value ran
     under."""
     return {
         "dataset": spec.dataset_name(),
-        "variant": spec.variant,
+        "field": field,
         **(extra or {}),
-        "rates": {
-            repr(rate): experiment_report_json(replace(spec, contamination=rate), agg)
-            for rate, agg in results.items()
+        "values": {
+            str(v): experiment_report_json(replace(spec, **{field: v}), agg)
+            for v, agg in results.items()
         },
     }
 

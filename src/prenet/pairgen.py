@@ -164,10 +164,10 @@ def expected_scores(labels: OrdinalLabels, eps: float) -> tuple[float, float]:
     and, with probability eps, an anomaly from U on the right.
     """
     eps = _check_eps(eps)
-    f_aa = (labels.aa + eps * labels.au + 2.0 * eps * eps * labels.uu) / (
-        1.0 + eps + 2.0 * eps * eps
-    )
-    f_an = (labels.au + 2.0 * eps * labels.uu) / (1.0 + 2.0 * eps)
-    anomaly_mean = ((1.0 + eps) * f_aa + (1.0 - eps) * f_an) / 2.0
-    normal_mean = (f_an + labels.uu) / 2.0
+    # weighted averages with weights summing to 1, so no value exceeds aa
+    d_aa, d_an = 1.0 + eps + 2.0 * eps * eps, 1.0 + 2.0 * eps
+    f_aa = labels.aa / d_aa + eps / d_aa * labels.au + 2.0 * eps * eps / d_aa * labels.uu
+    f_an = labels.au / d_an + 2.0 * eps / d_an * labels.uu
+    anomaly_mean = (1.0 + eps) / 2.0 * f_aa + (1.0 - eps) / 2.0 * f_an
+    normal_mean = f_an / 2.0 + labels.uu / 2.0
     return anomaly_mean, normal_mean

@@ -21,8 +21,8 @@ from prenet.harness import (
     ExperimentSpec,
     SyntheticSpec,
     load_source,
-    run_contamination_sweep,
     run_experiment,
+    run_grid,
     run_single,
 )
 from prenet.metrics import auc_pr, auc_roc
@@ -295,7 +295,7 @@ class TestCriterion6ThyroidReproduction:
 class TestCriterion7ContaminationRobustness:
     def test_criterion_7(self):
         spec = fixture_spec(source=SWEEP_FIXTURE, n_runs=3)
-        results = run_contamination_sweep(spec, [0.0, 0.05])
+        results = run_grid(spec, "contamination", [0.0, 0.05])
         pr0 = results[0.0].auc_pr_mean
         pr5 = results[0.05].auc_pr_mean
         rel = abs(pr5 - pr0) / pr0

@@ -27,11 +27,6 @@ SET_PER_RUN = (("ablate", "--variant", "a2h"), ("ablate", "--hidden-dims", "7"),
                ("sweep", "--contamination", "0.1"))
 
 
-def run(argv, capsys=None):
-    code = main(argv)
-    return code
-
-
 def make_data(tmp_path, name="d.csv", n_normal="300", n_anomaly="80"):
     path = tmp_path / name
     assert main([
@@ -69,6 +64,13 @@ class TestTheory:
     def test_non_finite_labels_exit_2(self, labels, capsys):
         assert main(["theory", "--eps", "0.1", "--labels", labels]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_finite_labels_near_the_float_maximum(self, capsys):
+        # each expected score is a weighted average of the targets
+        assert main(["theory", "--eps", "0.1", "--labels", "1.7e308,1.6e308,0"]) == 0
+        scores = [line.split(":")[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("expected")]
+        assert len(scores) == 2 and all(np.isfinite(float(v)) for v in scores), scores
 
 
 class TestSynth:
@@ -243,7 +245,8 @@ class TestAblateSweep:
         assert main(["ablate", "--data", str(data), *FAST_EXPERIMENT, "--runs", "1",
                      "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert set(doc["variants"]) == {"prenet", "bor", "osnet", "ldm", "a2h"}
+        assert doc["field"] == "variant"
+        assert set(doc["values"]) == {"prenet", "bor", "osnet", "ldm", "a2h"}
 
     def test_ablate_reports_the_default_stacks_that_ran(self, tmp_path):
         # the variants need different layer counts, so ablate takes no widths
@@ -251,7 +254,7 @@ class TestAblateSweep:
         out = tmp_path / "ab.json"
         assert main(["ablate", "--data", str(data), *FAST_EXPERIMENT, "--runs", "1",
                      "-o", str(out)]) == 0
-        variants = json.loads(out.read_text())["variants"].values()
+        variants = json.loads(out.read_text())["values"].values()
         assert [v["config"]["hidden_dims"] for v in variants] == [None] * 5
 
     def test_sweep_rates(self, tmp_path):
@@ -262,9 +265,10 @@ class TestAblateSweep:
             "--rates", "0,0.05", "-o", str(out),
         ]) == 0
         doc = json.loads(out.read_text())
-        assert set(doc["rates"]) == {"0.0", "0.05"}
+        assert doc["field"] == "contamination"
+        assert set(doc["values"]) == {"0.0", "0.05"}
         # one experiment report per rate, with the spec the rate ran under
-        for rate, report in doc["rates"].items():
+        for rate, report in doc["values"].items():
             assert report["config"]["contamination"] == float(rate)
             assert report["variant"] == "prenet" and len(report["auc_pr"]["runs"]) == 1
 
@@ -409,6 +413,19 @@ def test_every_ablate_and_sweep_flag_changes_the_report(command, flag, run_repor
     assert _run_report(command, data, tmp_path, flag, *RUN_FLAG_VALUES[flag]) != reports[command]
 
 
+@pytest.mark.parametrize(
+    "command, value, flags",
+    [("ablate", "ldm", ["--variant", "ldm"]), ("sweep", "0.05", ["--contamination", "0.05"])],
+)
+def test_each_grid_value_reports_the_experiment_that_ran(
+    command, value, flags, run_reports, tmp_path
+):
+    data, reports = run_reports
+    out = tmp_path / "experiment.json"
+    assert main(["experiment", "--data", str(data), *RUN_FAST, *flags, "-o", str(out)]) == 0
+    assert reports[command]["values"][value] == drop_volatile(json.loads(out.read_text()))
+
+
 def _score_with_checkpoint(edit):
     """Row: score the data with a copy of the checkpoint text changed by ``edit``."""
 
@@ -485,15 +502,20 @@ def _first_entry(value):
     return change
 
 
-def _eval_scores(last_row):
-    """Row: evaluate a scores file with both classes, ending in ``last_row``."""
+def _eval_file(rows):
+    """Row: evaluate a scores file holding the header and then ``rows``."""
 
     def argv(tmp_path, data, ckpt):
         scores = tmp_path / "scores.csv"
-        scores.write_text(f"row_index,score,true_label\n0,0.9,1\n1,0.1,0\n{last_row}\n")
+        scores.write_text(f"row_index,score,true_label\n{rows}")
         return ["eval", "--scores", str(scores), "-o", str(tmp_path / "m.json")]
 
     return argv
+
+
+def _eval_scores(last_row):
+    """Row: evaluate a scores file with both classes, ending in ``last_row``."""
+    return _eval_file(f"0,0.9,1\n1,0.1,0\n{last_row}\n")
 
 
 MALFORMED_INPUTS = [
@@ -523,6 +545,7 @@ MALFORMED_INPUTS = [
     ("eval_label_one_half", _eval_scores("2,0.5,0.5"), 3),
     ("eval_nan_score", _eval_scores("2,nan,1"), 3),
     ("eval_label_value_2", _eval_scores("2,0.5,2"), 3),
+    ("eval_header_only", _eval_file(""), 3),
     ("jobs_zero",
      lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST_EXPERIMENT,
                                    "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),

@@ -3,10 +3,10 @@ import pytest
 
 from prenet.dataset import (
     LabeledDataset,
+    WeakSupervisionSplit,
     build_weak_supervision,
     load_csv,
     save_csv,
-    standardize,
     standardize_split,
     stratified_split,
 )
@@ -230,25 +230,30 @@ class TestBuildWeakSupervision:
             )
 
 
+def hand_split(store, test=None):
+    """A split of ``store`` whose U is row 0 and whose A is row 1; any
+    further store rows are in neither."""
+    return WeakSupervisionSplit(np.array(store), np.zeros(len(store)), [1], [0], 0.0,
+                                test_features=test)
+
+
 class TestStandardize:
     def test_constant_column_centered_only(self):
-        x = np.array([[5.0, 1.0], [5.0, 3.0]])
-        (out,), mean, scale = standardize(x)
-        assert np.array_equal(out[:, 0], [0.0, 0.0])
+        out, mean, scale = standardize_split(hand_split([[5.0, 1.0], [5.0, 3.0]]))
+        assert np.array_equal(out.features[:, 0], [0.0, 0.0])
         assert scale[0] == 1.0
 
     def test_two_point_column(self):
-        x = np.array([[0.0], [2.0]])
-        (out,), mean, scale = standardize(x)
-        assert np.array_equal(out.ravel(), [-1.0, 1.0])  # population std = 1
+        out, mean, scale = standardize_split(hand_split([[0.0], [2.0]]))
+        assert np.array_equal(out.features.ravel(), [-1.0, 1.0])  # population std = 1
 
     def test_other_matrices_use_train_stats(self):
-        train = np.array([[0.0], [2.0]])
-        test = np.array([[4.0]])
-        (tr, te), mean, scale = standardize(train, test)
-        assert te.ravel()[0] == pytest.approx(3.0)  # (4-1)/1, not its own stats
-        (own,), _, _ = standardize(test)
-        assert not np.allclose(te, own)
+        # fit on A ∪ U only: the third store row and the test row are
+        # mapped by (x - 1) / 1, not by statistics that include them
+        out, mean, scale = standardize_split(hand_split([[0.0], [2.0], [100.0]], [[4.0]]))
+        assert (mean[0], scale[0]) == (1.0, 1.0)
+        assert out.features.ravel()[2] == 99.0
+        assert out.test_features.ravel()[0] == 3.0
 
     def test_standardize_split_transforms_store_and_test(self):
         ds = toy_dataset(50, 20)

@@ -12,11 +12,11 @@ from prenet.harness import (
     generate_synthetic,
     load_source,
     parse_spec_file,
-    run_ablation_suite,
-    run_contamination_sweep,
     run_experiment,
+    run_grid,
     run_single,
 )
+from prenet.model import VARIANTS
 from prenet.ndcore import make_rng
 
 
@@ -117,16 +117,17 @@ class TestRunExperiment:
         assert [r.auc_pr for r in par.runs] == [r.auc_pr for r in seq.runs]
 
     def test_labeled_anomaly_budget_sweep_is_expressible(self):
-        # varying the labeled budget is an ordinary spec field sweep
+        # the data-efficiency curve is a grid over the labeled budget
         source = SyntheticSpec(n_normal=150, n_anomaly=80, dim=3, separation=5.0, seed=3)
-        for n_labeled in (4, 8, 16):
-            agg = run_experiment(fast_spec(source=source, n_labeled=n_labeled, n_runs=1))
+        results = run_grid(fast_spec(source=source, n_runs=1), "n_labeled", (4, 8, 16))
+        assert list(results) == [4, 8, 16]
+        for agg in results.values():
             assert 0.0 <= agg.auc_pr_mean <= 1.0
 
 
 class TestAblationSuite:
     def test_all_variants_report(self):
-        results = run_ablation_suite(fast_spec(n_runs=1))
+        results = run_grid(fast_spec(n_runs=1), "variant", VARIANTS)
         assert set(results) == {"prenet", "bor", "osnet", "ldm", "a2h"}
         for agg in results.values():
             assert 0.0 <= agg.auc_roc_mean <= 1.0
@@ -165,7 +166,7 @@ class TestContaminationSweep:
             source=SyntheticSpec(n_normal=200, n_anomaly=100, dim=3, separation=5.0, seed=3),
             n_runs=1,
         )
-        results = run_contamination_sweep(spec, [0.0, 0.05])
+        results = run_grid(spec, "contamination", [0.0, 0.05])
         assert set(results) == {0.0, 0.05}
 
     def test_duplicate_rates_identical_reports(self):
@@ -173,8 +174,8 @@ class TestContaminationSweep:
             source=SyntheticSpec(n_normal=200, n_anomaly=100, dim=3, separation=5.0, seed=3),
             n_runs=1,
         )
-        results = run_contamination_sweep(spec, [0.02])
-        again = run_contamination_sweep(spec, [0.02])
+        results = run_grid(spec, "contamination", [0.02])
+        again = run_grid(spec, "contamination", [0.02])
         assert results[0.02].auc_pr_mean == again[0.02].auc_pr_mean
 
     def test_zero_rate_gives_clean_pool(self):
@@ -184,6 +185,14 @@ class TestContaminationSweep:
         tr, te = stratified_split(ds, spec.train_fraction, rng)
         split = build_weak_supervision(tr, spec.n_labeled, 0.0, rng, test=te)
         assert split.true_labels[split.unlabeled_idx].sum() == 0
+
+
+@pytest.mark.parametrize(
+    "field, values", [("variant", ("ldm", "prenet", "ldm")), ("contamination", [0.02, 0.0, 0.020])]
+)
+def test_grid_rejects_repeated_values(field, values):
+    with pytest.raises(ValueError, match=f"{field} values must be distinct"):
+        run_grid(fast_spec(n_runs=1), field, values)
 
 
 class TestReportJson:

@@ -278,3 +278,24 @@ def test_make_rng_is_seeded_pcg64():
     rng = make_rng(5)
     assert isinstance(rng.bit_generator, np.random.PCG64)
     assert np.array_equal(make_rng(5).integers(0, 100, 10), make_rng(5).integers(0, 100, 10))
+
+
+# The first draws of make_rng(0) for each generator method the pipeline
+# calls. A NumPy release that changes one of these streams fails here by
+# the method's name before the golden digests move.
+PINNED_STREAMS = {
+    "integers": (lambda rng: rng.integers(0, 1000, size=5), [850, 636, 511, 269, 307]),
+    "integers_int32": (lambda rng: rng.integers(0, 1000, size=5, dtype=np.int32),
+                       [850, 636, 511, 269, 307]),
+    "uniform": (lambda rng: rng.uniform(-1, 1, size=3),
+                [0.2739233746429086, -0.4604265724722594, -0.9180529521276106]),
+    "standard_normal": (lambda rng: rng.standard_normal(3),
+                        [0.1257302210933933, -0.1321048632913019, 0.6404226504432821]),
+    "permutation": (lambda rng: rng.permutation(10), [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]),
+}
+
+
+@pytest.mark.parametrize("method", PINNED_STREAMS)
+def test_pcg64_stream_is_pinned(method):
+    draw, expected = PINNED_STREAMS[method]
+    assert draw(make_rng(0)).tolist() == expected, f"the PCG64 {method} stream changed"
