@@ -389,7 +389,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] in ("experiment", "ablate", "sweep"):
         try:
             argv = _apply_spec_file(argv)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)

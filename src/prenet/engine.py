@@ -8,24 +8,19 @@ anomaly partners and on the left of unlabeled partners.
 
 Scoring is factored. The head is linear in the concatenated features,
 so a pair score is ``c_l(left) + c_r(right) + b`` with
-``c_l = f(.)·w_l`` and ``c_r = f(.)·w_r``. The shared stack f runs
-once per row on the stacked rows ``[x; A rows; U rows]``, one head
-product gives both columns ``c_l`` and ``c_r``, and the pair scores are
-gathered from them. For n instances and ensemble size E, each pool
-runs all of its rows when it has at most n·E rows, and only its n·E
-drawn rows otherwise; the choice follows from shapes alone. So at most
-``n + min(|A|, n·E) + min(|U|, n·E)`` rows go through the stack,
-instead of ``4·n·E``. The rows of x are scored in blocks of 2048, each
-block gathering and summing its own pair scores. A pool that runs whole
-joins the first block's stack pass when it has at most 2048 rows, and
-otherwise runs in stack-and-head passes of 2048 rows of its own, keeping
-only its head column; a pool that runs drawn rows adds each block's own
-draws to that block's pass. So a call's transient memory is its partner
-draws, one block with at most 2048·E drawn rows per pool, and one head
-column per pool that runs whole. Every matmul output entry is computed
-on its own in ascending k, and the elementwise steps are per row, so
-the scores are byte-identical to scoring each pair with
-:func:`prenet.model.forward`.
+``c_l = f(.)·w_l`` and ``c_r = f(.)·w_r``. For n instances and ensemble
+size E, one rule decided per call from shapes alone picks the rows to
+stack: a pool with at most n·E rows is stacked whole, a larger pool its
+n·E drawn rows in draw order. The shared stack f runs once per row of
+``[x; A part; U part]``, so ``n + min(|A|, n·E) + min(|U|, n·E)`` rows
+instead of ``4·n·E``, in passes of 2048 rows that may span parts, and
+one head product per pass gives both columns. The pair scores are then
+gathered and summed per block of 2048 rows of x. A call's transient
+memory is its draws, its drawn rows, the two head columns and one pass
+or block: 7.3 MB for 20 000 rows at E = 30 against pools of 30 and 1633
+rows. Every matmul output entry is computed on its own in ascending k,
+and the elementwise steps are per row, so the scores are byte-identical
+to scoring each pair with :func:`prenet.model.forward`.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -156,44 +152,25 @@ def draw_partner_indices(
     return a_pos, u_pos
 
 
-# Rows of x gathered and summed per block of score_with_partners: the
-# block's (rows, E) pair-score arrays and stack activations stay small,
-# so one call's transient memory does not grow with the number of rows.
+# Rows per stack pass and per block of x gathered and summed in
+# score_with_partners, so a pass's activations and a block's (rows, E)
+# pair-score arrays stay small however many rows a call scores.
 _SCORE_BLOCK_ROWS = 2048
 
 
-def _stack_rows(
-    pool: np.ndarray, pos: np.ndarray, r0: int, r1: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``pool`` for the stack pass of the block of x rows
-    ``r0:r1``, and the position of each of the block's draws among them.
-    A pool with no more rows than there are draws runs whole: in the
-    first block's pass when it has at most ``_SCORE_BLOCK_ROWS`` rows,
-    otherwise in passes of its own (:func:`_own_pass_column`) and in no
-    block's. A larger pool runs the block's drawn rows only."""
-    block = pos[r0:r1]
-    if len(pool) > pos.size:
-        return pool[block.ravel()], np.arange(block.size).reshape(block.shape)
-    if r0 == 0 and len(pool) <= _SCORE_BLOCK_ROWS:
-        return pool, block
-    return pool[:0], block
-
-
-def _own_pass_column(
-    params: PReNetParams, head: np.ndarray, pool: np.ndarray, pos: np.ndarray, s: int
-) -> np.ndarray | None:
-    """Head column s of a pool that runs whole and has more than
-    ``_SCORE_BLOCK_ROWS`` rows, from stack-and-head passes over
-    ``_SCORE_BLOCK_ROWS`` rows at a time; None for any other pool, whose
-    column the block passes give."""
-    if len(pool) > pos.size or len(pool) <= _SCORE_BLOCK_ROWS:
-        return None
-    return np.concatenate(
-        [
-            matmul(features(params, pool[i : i + _SCORE_BLOCK_ROWS]), head)[:, s]
-            for i in range(0, len(pool), _SCORE_BLOCK_ROWS)
-        ]
-    )
+def _head_product(params: PReNetParams, head: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+    """``f(rows)·head`` for the rows of ``parts`` stacked in order, run
+    through the stack in passes of ``_SCORE_BLOCK_ROWS`` rows; a pass
+    may span part boundaries, and takes its rows as slices of the parts."""
+    starts = list(accumulate(map(len, parts), initial=0))
+    out = np.empty((starts[-1], head.shape[1]))
+    for r0 in range(0, starts[-1], _SCORE_BLOCK_ROWS):
+        r1 = r0 + _SCORE_BLOCK_ROWS
+        rows = np.concatenate(
+            [part[max(r0 - s, 0) : max(r1 - s, 0)] for part, s in zip(parts, starts)]
+        )
+        out[r0:r1] = matmul(features(params, rows), head)
+    return out
 
 
 def score_with_partners(
@@ -215,26 +192,22 @@ def score_with_partners(
             f"partner draws of shapes {a_pos.shape} and {u_pos.shape} "
             f"for {x.shape[0]} instances"
         )
-    p = model.params
-    b = p.output_bias
-    head = head_matrix(model)
+    # a pool with more rows than draws stacks its drawn rows in draw order
+    if len(anomaly_pool) > a_pos.size:
+        anomaly_pool, a_pos = anomaly_pool[a_pos.ravel()], np.arange(n * e).reshape(n, e)
+    if len(unlabeled_pool) > u_pos.size:
+        unlabeled_pool, u_pos = unlabeled_pool[u_pos.ravel()], np.arange(n * e).reshape(n, e)
+    b = model.params.output_bias
+    c = _head_product(model.params, head_matrix(model), [x, anomaly_pool, unlabeled_pool])
+    c_l, c_r = c[:n].T
+    c_a = c[n : n + len(anomaly_pool), 0]
+    c_u = c[n + len(anomaly_pool) :, 1]
     scores = np.empty(n)
-    c_a = _own_pass_column(p, head, anomaly_pool, a_pos, 0)
-    c_u = _own_pass_column(p, head, unlabeled_pool, u_pos, 1)
     for r0 in range(0, n, _SCORE_BLOCK_ROWS):
-        r1 = min(r0 + _SCORE_BLOCK_ROWS, n)
-        a_rows, a_at = _stack_rows(anomaly_pool, a_pos, r0, r1)
-        u_rows, u_at = _stack_rows(unlabeled_pool, u_pos, r0, r1)
-        c = matmul(features(p, np.concatenate([x[r0:r1], a_rows, u_rows])), head)
-        c_l, c_r = c[: r1 - r0].T
-        # a pool that ran whole keeps its column
-        if c_a is None or len(a_rows):
-            c_a = c[r1 - r0 : r1 - r0 + len(a_rows), 0]
-        if c_u is None or len(u_rows):
-            c_u = c[r1 - r0 + len(a_rows) :, 1]
-        s_a = (c_a[a_at] + c_r[:, None]) + b
-        s_u = (c_l[:, None] + c_u[u_at]) + b
-        scores[r0:r1] = (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
+        blk = slice(r0, r0 + _SCORE_BLOCK_ROWS)
+        s_a = (c_a[a_pos[blk]] + c_r[blk, None]) + b
+        s_u = (c_l[blk, None] + c_u[u_pos[blk]]) + b
+        scores[blk] = (s_a.sum(axis=1) + s_u.sum(axis=1)) / (2.0 * e)
     return scores
 
 
@@ -254,6 +227,8 @@ def score_rows(
     randomness is consumed and the pools are not read).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if ensemble_size < 1:
+        raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
     if not model.config.is_pairwise:
         return forward(model, x, [np.arange(len(x))])[0]
     a_pos, u_pos = draw_partner_indices(

@@ -52,8 +52,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_normal < 1 or self.n_anomaly < 1 or self.dim < 1:
             raise ValueError("counts and dim must be >= 1")
-        if self.separation < 0:
-            raise ValueError(f"separation must be >= 0, got {self.separation}")
+        if not 0 <= self.separation < np.inf:
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:

@@ -73,8 +73,8 @@ class ModelConfig:
             )
         if any(d < 1 for d in dims):
             raise ValueError(f"hidden dims must be >= 1, got {dims}")
-        if self.l2_lambda < 0:
-            raise ValueError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not 0 <= self.l2_lambda < np.inf:
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         object.__setattr__(self, "hidden_dims", dims)
 
     @property
@@ -308,8 +308,8 @@ class OptimizerState:
     def for_params(
         cls, params: PReNetParams, learning_rate: float = 0.001
     ) -> "OptimizerState":
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+        if not 0 < learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
         return cls(params.with_vector(np.zeros_like(params.vector)), learning_rate)
 
 

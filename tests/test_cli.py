@@ -539,6 +539,7 @@ MALFORMED_INPUTS = [
      _edit_array("standardization", "scale", _first_entry(0.0)), 3),
     ("checkpoint_inf_mean",
      _edit_array("standardization", "mean", _first_entry(np.inf)), 3),
+    ("checkpoint_nan_l2", _edit_document(lambda d: d.update(l2_lambda=float("nan"))), 3),
     ("unlabeled_nan_feature", _score_unlabeled("nan"), 3),
     ("unlabeled_inf_feature", _score_unlabeled("-inf"), 3),
     ("label_value_2", _score_with_label("2"), 3),
@@ -552,6 +553,19 @@ MALFORMED_INPUTS = [
     ("train_labels_inf",
      lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "inf,4,0",
                                    "-o", str(tmp_path / "m.json")], 2),
+    ("train_l2_nan",
+     lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--l2", "nan",
+                                   "-o", str(tmp_path / "m.json")], 2),
+    ("train_learning_rate_inf",
+     lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--learning-rate", "inf",
+                                   "-o", str(tmp_path / "m.json")], 2),
+    ("synth_separation_nan",
+     lambda tmp_path, data, ckpt: ["synth", "--separation", "nan",
+                                   "-o", str(tmp_path / "d.csv")], 2),
+    ("experiment_missing_spec_file",
+     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data),
+                                   "--spec-file", str(tmp_path / "nope.cfg"),
+                                   "-o", str(tmp_path / "r.json")], 3),
     # finite targets whose absolute errors sum past the float64 range
     ("train_labels_objective_overflow",
      lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "1e308,4,0",

@@ -244,6 +244,12 @@ class TestScoring:
         # no randomness consumed: any seed gives the same result
         assert np.array_equal(scores, score_dataset(model, x, split, 30, make_rng(99)))
 
+    def test_osnet_rejects_an_empty_ensemble(self):
+        split = small_split()
+        model = build_variant(ModelConfig("osnet", 3), make_rng(16))
+        with pytest.raises(ValueError, match="ensemble_size"):
+            score_dataset(model, np.ones((2, 3)), split, 0, make_rng(18))
+
     def test_one_stream_model_rejected_by_pair_scoring(self):
         split = small_split()
         model = build_variant(ModelConfig("osnet", 3), make_rng(16))
@@ -293,15 +299,15 @@ FACTORED_CASES = {
     "huge_values": ("prenet", 40, 5, 6, 10, 100, "huge", 1.0),
     "tiny_values": ("ldm", 40, 5, 6, 100, 10, "tiny", 1.0),
     "huge_values_deep": ("a2h", 3, 5, 6, 10, 100, "huge", 0.0),
-    # rows of x around and past the scoring blocks; in the last two cases
-    # a pool outnumbers the draws, so each block stacks its drawn rows
+    # rows of x around and past the stack passes and scoring blocks; in the
+    # last two cases a pool outnumbers the draws, so it stacks its drawn rows
     "x_block_minus_one": ("prenet", 3, _BLOCK - 1, 2, 5, 50, "normal", 0.5),
     "x_block": ("prenet", 3, _BLOCK, 2, 5, 50, "normal", 0.5),
     "x_block_plus_one": ("prenet", 3, _BLOCK + 1, 2, 5, 50, "normal", 0.5),
     "x_two_blocks_plus_one": ("prenet", 3, 2 * _BLOCK + 1, 2, 5, 50, "normal", 0.5),
     "x_blocks_drawn_pool": ("prenet", 3, _BLOCK + 1, 1, 3, 3 * _BLOCK, "normal", 0.5),
     "x_blocks_drawn_pools": ("ldm", 3, 2 * _BLOCK + 1, 1, 3 * _BLOCK, 3 * _BLOCK, "normal", 0.5),
-    # pools that run whole but exceed a block run in passes of their own
+    # pools that are stacked whole and span several stack passes
     "x_whole_pools_own_passes": ("prenet", 3, 150, 30, 2 * _BLOCK + 37, _BLOCK + 50, "normal", 0.5),
 }
 
@@ -350,12 +356,20 @@ def test_factored_scoring_runs_each_distinct_row_once(monkeypatch, n, e, n_a, n_
     assert sum(rows) <= n + min(n_a, n * e) + min(n_u, n * e)
 
 
-def test_blocked_scoring_stack_passes(monkeypatch):
-    """One stack pass per block of x rows: the pool that runs whole joins
-    the first block only, the pool larger than the draws adds each
-    block's own draws."""
+@pytest.mark.parametrize(
+    "n, e, n_a, n_u",
+    [
+        pytest.param(8, 30, 30, 1633, id="online_shape"),  # one 278-row pass
+        pytest.param(2 * _BLOCK + 1, 2, 5, 5 * _BLOCK, id="x_blocks_drawn_pool"),
+        pytest.param(150, 30, 2 * _BLOCK + 1, 30, id="whole_pool_of_passes"),
+        pytest.param(4, 2000, _BLOCK + 100, 3 * _BLOCK, id="whole_pools_past_one_pass"),
+    ],
+)
+def test_scoring_stack_passes(monkeypatch, n, e, n_a, n_u):
+    """One stack over ``[x; A part; U part]`` per call, run in passes of
+    ``_BLOCK`` rows that may span parts: a pool of at most n·E rows is
+    stacked whole, a larger one stacks its n·E drawn rows."""
     rng = make_rng(51)
-    n, e, n_a, n_u = 2 * _BLOCK + 1, 2, 5, 5 * _BLOCK
     model = build_variant(ModelConfig("prenet", 3), rng)
     x, a_pool, u_pool = (rng.standard_normal((rows, 3)) for rows in (n, n_a, n_u))
     a_pos, u_pos = draw_partner_indices(n_a, n_u, n, e, rng)
@@ -368,28 +382,8 @@ def test_blocked_scoring_stack_passes(monkeypatch):
 
     monkeypatch.setattr(engine, "features", counting_features)
     score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
-    assert rows == [_BLOCK + n_a + _BLOCK * e, _BLOCK + _BLOCK * e, 1 + e]
-
-
-def test_large_whole_pool_stack_passes(monkeypatch):
-    """A pool that runs whole but has more rows than a block runs in
-    block-sized passes of its own before the blocks of x; a pool of at
-    most a block still joins the first block's pass."""
-    rng = make_rng(52)
-    n, e, n_a, n_u = 150, 30, 2 * _BLOCK + 1, 30
-    model = build_variant(ModelConfig("prenet", 3), rng)
-    x, a_pool, u_pool = (rng.standard_normal((rows, 3)) for rows in (n, n_a, n_u))
-    a_pos, u_pos = draw_partner_indices(n_a, n_u, n, e, rng)
-    rows = []
-    real_features = engine.features
-
-    def counting_features(params, batch):
-        rows.append(len(batch))
-        return real_features(params, batch)
-
-    monkeypatch.setattr(engine, "features", counting_features)
-    score_with_partners(model, x, a_pool, u_pool, a_pos, u_pos)
-    assert rows == [_BLOCK, _BLOCK, 1, n + n_u]
+    total = n + min(n_a, n * e) + min(n_u, n * e)
+    assert rows == [min(_BLOCK, total - r0) for r0 in range(0, total, _BLOCK)]
 
 
 @pytest.mark.parametrize(
@@ -402,11 +396,11 @@ def test_large_whole_pool_stack_passes(monkeypatch):
 )
 def test_bulk_scoring_memory_is_bounded(n, e, n_a, n_u):
     """One call, partner draws included, stays under 16 MB of transient
-    allocations: 27.9 MB and 47.8 MB for the first two cases when the
-    pair scores of all rows were gathered at once with int64 draws,
-    40.4 MB for the second when all drawn pool rows ran in the first
-    block, and 81.9 MB for the third when a pool that runs whole ran in
-    one stack pass however large."""
+    allocations. It peaks at 7.3, 10.4 and 6.2 MB, the second case
+    holding its 2·40 000 drawn rows at once; it was 27.9 MB and 47.8 MB
+    for the first two cases when the pair scores of all rows were
+    gathered at once with int64 draws, and 81.9 MB for the third when
+    the stack ran in one pass however large."""
     rng = make_rng(60)
     model = build_variant(ModelConfig("prenet", 10), rng)
     x, a_pool, u_pool = (rng.standard_normal((rows, 10)) for rows in (n, n_a, n_u))
