@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,19 +60,18 @@ class LabeledDataset:
 class WeakSupervisionSplit:
     """Training-time world state.
 
-    ``features`` is the training feature store; ``labeled_idx`` (set A)
-    and ``unlabeled_idx`` (set U) are disjoint index lists into it.
+    ``features`` is the training feature store: rows ``[:n_unlabeled]``
+    are the unlabeled pool U and the rest the labeled anomaly pool A, so
+    the two pools are disjoint by construction and both are nonempty.
     ``true_labels`` keeps the ground truth of every store row for
     diagnostics only; training must not consult it. Test data rides
     along so a single object describes one experimental world, but
-    training reads only the store and the two index lists.
+    training reads only the store and the boundary.
     """
 
     features: np.ndarray
     true_labels: np.ndarray
-    labeled_idx: np.ndarray
-    unlabeled_idx: np.ndarray
-    contamination_rate: float
+    n_unlabeled: int
     seed: int | None = None
     test_features: np.ndarray | None = None
     test_labels: np.ndarray | None = None
@@ -81,12 +79,8 @@ class WeakSupervisionSplit:
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.true_labels = np.asarray(self.true_labels, dtype=np.int64).ravel()
-        self.labeled_idx = np.asarray(self.labeled_idx, dtype=np.int64).ravel()
-        self.unlabeled_idx = np.asarray(self.unlabeled_idx, dtype=np.int64).ravel()
-        if self.labeled_idx.size < 1 or self.unlabeled_idx.size < 1:
-            raise ValueError("both A and U must be nonempty")
-        if np.intersect1d(self.labeled_idx, self.unlabeled_idx).size:
-            raise ValueError("A and U overlap")
+        if not 1 <= self.n_unlabeled < len(self.features):
+            raise ValueError(f"n_unlabeled {self.n_unlabeled} leaves U or A empty")
 
     @property
     def dim(self) -> int:
@@ -94,20 +88,15 @@ class WeakSupervisionSplit:
 
     @property
     def n_labeled(self) -> int:
-        return self.labeled_idx.size
+        return len(self.features) - self.n_unlabeled
 
     @property
-    def n_unlabeled(self) -> int:
-        return self.unlabeled_idx.size
-
-    # Computed once: no code changes a split after it is built.
-    @cached_property
     def a_features(self) -> np.ndarray:
-        return self.features[self.labeled_idx]
+        return self.features[self.n_unlabeled :]
 
-    @cached_property
+    @property
     def u_features(self) -> np.ndarray:
-        return self.features[self.unlabeled_idx]
+        return self.features[: self.n_unlabeled]
 
 
 def _parse_cell(raw: str, row: int, col: str) -> float:
@@ -120,7 +109,7 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
 
 
 def load_feature_csv(
-    path, label_column: str | int = "label"
+    path, label_column: str = "label"
 ) -> tuple[np.ndarray, list[str] | None, list[str]]:
     """Parse a headered numeric CSV.
 
@@ -135,10 +124,7 @@ def load_feature_csv(
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if isinstance(label_column, int):
-            label_pos = label_column if 0 <= label_column < len(header) else None
-        else:
-            label_pos = header.index(label_column) if label_column in header else None
+        label_pos = header.index(label_column) if label_column in header else None
         feature_names = [h for i, h in enumerate(header) if i != label_pos]
         rows: list[list[float]] = []
         raw_labels: list[str] = []
@@ -170,7 +156,7 @@ def load_feature_csv(
 
 
 def load_csv(
-    path, label_column: str | int = "label", anomaly_value: str | None = None
+    path, label_column: str = "label", anomaly_value: str | None = None
 ) -> LabeledDataset:
     """Load a labeled CSV into a :class:`LabeledDataset`; the label
     column is mapped by :func:`binary_labels`."""
@@ -303,21 +289,17 @@ def build_weak_supervision(
     perm = rng.permutation(anom_idx)
     a_src = perm[:n_labeled]
     inject_src = perm[n_labeled : n_labeled + m]
-    # Compact store: [normals | injected anomalies | labeled anomalies].
+    # The store: U = [normals | injected anomalies], then A.
     store = np.concatenate(
         [train.features[normal_idx], train.features[inject_src], train.features[a_src]]
     )
     true_labels = np.concatenate(
         [np.zeros(n_normal, dtype=np.int64), np.ones(m + n_labeled, dtype=np.int64)]
     )
-    unlabeled_idx = np.arange(n_normal + m)
-    labeled_idx = np.arange(n_normal + m, n_normal + m + n_labeled)
     return WeakSupervisionSplit(
         features=store,
         true_labels=true_labels,
-        labeled_idx=labeled_idx,
-        unlabeled_idx=unlabeled_idx,
-        contamination_rate=contamination_rate,
+        n_unlabeled=n_normal + m,
         seed=seed,
         test_features=None if test is None else test.features.copy(),
         test_labels=None if test is None else test.labels.copy(),
@@ -335,13 +317,12 @@ def standardize_split(
     split: WeakSupervisionSplit,
 ) -> tuple[WeakSupervisionSplit, np.ndarray, np.ndarray]:
     """Standardize a split's store and its test data by the mean and
-    (population) std of the A ∪ U rows; a feature with std below 1e-12 is
-    centered only. Returns ``(split, mean, scale)``, ``scale`` being the
-    divisor used; the index lists and labels are shared with ``split``,
-    which nothing mutates."""
-    fit = split.features[np.concatenate([split.unlabeled_idx, split.labeled_idx])]
-    std = fit.std(axis=0)
-    mean, scale = fit.mean(axis=0), np.where(std < 1e-12, 1.0, std)
+    (population) std of the store, which is U then A; a feature with std
+    below 1e-12 is centered only. Returns ``(split, mean, scale)``,
+    ``scale`` being the divisor used; the labels are shared with
+    ``split``, which nothing mutates."""
+    std = split.features.std(axis=0)
+    mean, scale = split.features.mean(axis=0), np.where(std < 1e-12, 1.0, std)
     test = split.test_features
     new = replace(
         split,

@@ -95,7 +95,7 @@ def train(
     """Train a freshly initialized variant on the split.
 
     Deterministic given ``cfg.seed`` (or the state of an explicitly
-    passed generator). Only the feature store and the A/U index lists
+    passed generator). Only the feature store and its U/A boundary
     are read; test data riding on the split is never touched.
     """
     if cfg.model.input_dim != split.dim:
@@ -263,23 +263,29 @@ def write_scores_csv(path, scores: np.ndarray, true_labels: np.ndarray | None = 
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read a scores CSV; returns (scores, labels or None). Raises
-    :class:`SchemaError` for a file without data rows, or a row without a
-    finite score or with a true label other than 0 or 1."""
+    """Read a scores CSV by its header's ``score`` and optional
+    ``true_label`` columns; returns (scores, labels or None). Raises
+    :class:`SchemaError` for a header without ``score``, a file without
+    data rows, or a row without a finite score or with a true label other
+    than 0 or 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty scores file") from None
+        if "score" not in header:
+            raise SchemaError(f"{path}: scores header {header!r} has no 'score' column")
+        score_pos = header.index("score")
         has_labels = "true_label" in header
+        label_pos = header.index("true_label") if has_labels else None
         scores, labels = [], []
         for row_no, record in enumerate(reader, start=2):
             if not record:
                 continue
             try:
-                score = float(record[1])
-                label = float(record[2]) if has_labels else 0.0
+                score = float(record[score_pos])
+                label = float(record[label_pos]) if has_labels else 0.0
                 ok = math.isfinite(score) and label in (0.0, 1.0)
             except (IndexError, ValueError):
                 ok = False

@@ -93,10 +93,19 @@ class ExperimentSpec:
     ensemble_size: int = 30
 
     def __post_init__(self):
+        # range checks that need no data: a bad value fails before any run starts
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
+        if self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
+        if self.n_labeled < 2:
+            raise ValueError(f"n_labeled must be >= 2, got {self.n_labeled}")
+        if not 0.0 <= self.contamination < 0.5:
+            raise ValueError(f"contamination must be in [0, 0.5), got {self.contamination}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
     def dataset_name(self) -> str:
         if isinstance(self.source, SyntheticSpec):
@@ -202,11 +211,13 @@ def run_grid(
 ) -> dict[object, AggregateReport]:
     """One experiment per value of the spec field ``field``, under shared
     base seeds (hence identical splits: the world is drawn before any
-    field-specific randomness)."""
+    field-specific randomness). Every value's spec is built, and so
+    checked, before the first experiment runs."""
     values = list(values)
     if len(set(values)) != len(values):
         raise ValueError(f"{field} values must be distinct, got {values}")
-    return {v: run_experiment(replace(spec, **{field: v}), jobs=jobs) for v in values}
+    specs = {v: replace(spec, **{field: v}) for v in values}
+    return {v: run_experiment(s, jobs=jobs) for v, s in specs.items()}
 
 
 def train_report_json(report: TrainReport) -> dict:

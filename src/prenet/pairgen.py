@@ -81,8 +81,8 @@ def _batch(
     return Batch(rows, row_index, positions.reshape(slot_index.shape), slot_classes)
 
 
-def _pick(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    return pool[rng.integers(0, pool.size, size=n)]
+def _pick(start: int, stop: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    return start + rng.integers(0, stop - start, size=n)
 
 
 def sample_pair_batch(
@@ -97,16 +97,15 @@ def sample_pair_batch(
     """
     if batch_size < 4 or batch_size % 4:
         raise ValueError(f"batch_size must be a positive multiple of 4, got {batch_size}")
-    if split.n_labeled < 1 or split.n_unlabeled < 1:
-        raise ValueError("both A and U must be nonempty for pair sampling")
     n_aa = n_au = batch_size // 4
     n_uu = batch_size // 2
-    aa_l = _pick(split.labeled_idx, n_aa, rng)
-    aa_r = _pick(split.labeled_idx, n_aa, rng)
-    au_l = _pick(split.labeled_idx, n_au, rng)
-    au_r = _pick(split.unlabeled_idx, n_au, rng)
-    uu_l = _pick(split.unlabeled_idx, n_uu, rng)
-    uu_r = _pick(split.unlabeled_idx, n_uu, rng)
+    u, end = split.n_unlabeled, len(split.features)  # U is [0, u), A is [u, end)
+    aa_l = _pick(u, end, n_aa, rng)
+    aa_r = _pick(u, end, n_aa, rng)
+    au_l = _pick(u, end, n_au, rng)
+    au_r = _pick(0, u, n_au, rng)
+    uu_l = _pick(0, u, n_uu, rng)
+    uu_r = _pick(0, u, n_uu, rng)
     slot_index = np.stack([np.concatenate([aa_l, au_l, uu_l]), np.concatenate([aa_r, au_r, uu_r])])
     return _batch(split, slot_index, [n_aa, n_au, n_uu], list(PairClass))
 
@@ -119,8 +118,9 @@ def sample_instance_batch(
     if batch_size < 2 or batch_size % 2:
         raise ValueError(f"batch_size must be a positive multiple of 2, got {batch_size}")
     half = batch_size // 2
-    a_idx = _pick(split.labeled_idx, half, rng)
-    u_idx = _pick(split.unlabeled_idx, half, rng)
+    u, end = split.n_unlabeled, len(split.features)
+    a_idx = _pick(u, end, half, rng)
+    u_idx = _pick(0, u, half, rng)
     slot_index = np.concatenate([a_idx, u_idx])[None, :]
     return _batch(split, slot_index, [half, half], [PairClass.AU, PairClass.UU])
 

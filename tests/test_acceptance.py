@@ -181,7 +181,7 @@ class TestCriterion3TheoryVsMonteCarlo:
         # unlabeled pool with exactly 5% true anomalies:
         # m = round(0.05*1900/0.95) = 100, |U| = 2000
         split = _world(1900, 200, 60, 0.05, seed=4)
-        u_true = split.true_labels[split.unlabeled_idx]
+        u_true = split.true_labels[: split.n_unlabeled]
         assert u_true.mean() == pytest.approx(0.05)
         rng = make_rng(99)
         totals = np.zeros(3)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import prenet
+from prenet import harness
 from prenet.cli import build_parser, main
 from prenet.engine import read_scores_csv
 from prenet.model import load_checkpoint
@@ -502,12 +503,12 @@ def _first_entry(value):
     return change
 
 
-def _eval_file(rows):
-    """Row: evaluate a scores file holding the header and then ``rows``."""
+def _eval_file(rows, header="row_index,score,true_label"):
+    """Row: evaluate a scores file holding ``header`` and then ``rows``."""
 
     def argv(tmp_path, data, ckpt):
         scores = tmp_path / "scores.csv"
-        scores.write_text(f"row_index,score,true_label\n{rows}")
+        scores.write_text(f"{header}\n{rows}")
         return ["eval", "--scores", str(scores), "-o", str(tmp_path / "m.json")]
 
     return argv
@@ -516,6 +517,10 @@ def _eval_file(rows):
 def _eval_scores(last_row):
     """Row: evaluate a scores file with both classes, ending in ``last_row``."""
     return _eval_file(f"0,0.9,1\n1,0.1,0\n{last_row}\n")
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("an experiment run started training")
 
 
 MALFORMED_INPUTS = [
@@ -547,6 +552,7 @@ MALFORMED_INPUTS = [
     ("eval_nan_score", _eval_scores("2,nan,1"), 3),
     ("eval_label_value_2", _eval_scores("2,0.5,2"), 3),
     ("eval_header_only", _eval_file(""), 3),
+    ("eval_no_score_column", _eval_file("0.9,1\n0.1,0\n", header="a,b"), 3),
     ("jobs_zero",
      lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST_EXPERIMENT,
                                    "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),
@@ -574,15 +580,25 @@ MALFORMED_INPUTS = [
      lambda tmp_path, data, ckpt: ["sweep", "--data", str(data), *FAST_EXPERIMENT,
                                    "--rates", "0.02,0.020,0", "-o", str(tmp_path / "sw.json")],
      2),
+    # range errors that need no data fail before the first run trains
+    ("experiment_ensemble_size_zero",
+     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST_EXPERIMENT,
+                                   "--ensemble-size", "0", "-o", str(tmp_path / "r.json")], 2),
+    ("sweep_rate_out_of_range_last",
+     lambda tmp_path, data, ckpt: ["sweep", "--data", str(data), *FAST_EXPERIMENT,
+                                   "--rates", "0,0.02,0.6", "-o", str(tmp_path / "sw.json")],
+     2),
 ]
 
 
 @pytest.mark.parametrize(
     "case,argv,expected", MALFORMED_INPUTS, ids=[row[0] for row in MALFORMED_INPUTS]
 )
-def test_malformed_input_exit_code(case, argv, expected, trained, tmp_path, capsys):
+def test_malformed_input_exit_code(case, argv, expected, trained, tmp_path, capsys, monkeypatch):
     data, ckpt = trained
     args = argv(tmp_path, data, ckpt)
+    # no malformed input gets as far as training a run of an experiment
+    monkeypatch.setattr(harness, "train", _no_training)
     assert main(args) == expected
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err

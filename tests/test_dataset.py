@@ -145,14 +145,14 @@ class TestBuildWeakSupervision:
         ds = toy_dataset(200, 80)
         split = build_weak_supervision(ds, 60, 0.0, make_rng(0))
         assert split.n_labeled == 60
-        assert split.true_labels[split.unlabeled_idx].sum() == 0
+        assert split.true_labels[: split.n_unlabeled].sum() == 0
         assert split.n_unlabeled == 200
 
     def test_injection_count_formula(self):
         # m = round(eps * n_normal / (1 - eps)) = round(4900*0.02/0.98) = 100
         ds = toy_dataset(4900, 200)
         split = build_weak_supervision(ds, 60, 0.02, make_rng(0))
-        u_true = split.true_labels[split.unlabeled_idx]
+        u_true = split.true_labels[: split.n_unlabeled]
         assert split.n_unlabeled == 5000
         assert u_true.sum() == 100
         assert u_true.sum() / split.n_unlabeled == pytest.approx(0.02)
@@ -161,14 +161,16 @@ class TestBuildWeakSupervision:
         ds = toy_dataset(777, 300)
         for eps in (0.01, 0.05, 0.1):
             split = build_weak_supervision(ds, 30, eps, make_rng(3))
-            frac = split.true_labels[split.unlabeled_idx].mean()
+            frac = split.true_labels[: split.n_unlabeled].mean()
             assert abs(frac - eps) <= 1.0 / split.n_unlabeled
 
     def test_disjoint_and_labeled_are_anomalies(self):
         ds = toy_dataset(100, 50)
         split = build_weak_supervision(ds, 20, 0.05, make_rng(1))
-        assert np.intersect1d(split.labeled_idx, split.unlabeled_idx).size == 0
-        assert np.all(split.true_labels[split.labeled_idx] == 1)
+        # U is the store's first n_unlabeled rows and A the rest
+        assert (split.n_unlabeled, split.n_labeled) == (105, 20)
+        assert len(split.u_features) + len(split.a_features) == len(split.features)
+        assert np.all(split.true_labels[split.n_unlabeled :] == 1)
 
     def test_capacity_error_names_counts(self):
         ds = toy_dataset(100, 10)
@@ -180,15 +182,20 @@ class TestBuildWeakSupervision:
         s1 = build_weak_supervision(ds, 40, 0.02, make_rng(7))
         s2 = build_weak_supervision(ds, 40, 0.02, make_rng(7))
         assert np.array_equal(s1.features, s2.features)
-        assert np.array_equal(s1.labeled_idx, s2.labeled_idx)
+        assert s1.n_unlabeled == s2.n_unlabeled
 
-    def test_pools_are_cached_store_rows(self):
+    def test_pools_are_views_of_the_store(self):
         ds = toy_dataset(100, 50)
         split = build_weak_supervision(ds, 20, 0.05, make_rng(1))
-        assert np.array_equal(split.a_features, split.features[split.labeled_idx])
-        assert np.array_equal(split.u_features, split.features[split.unlabeled_idx])
-        assert split.a_features is split.a_features
-        assert split.u_features is split.u_features
+        assert np.array_equal(split.u_features, split.features[: split.n_unlabeled])
+        assert np.array_equal(split.a_features, split.features[split.n_unlabeled :])
+        assert np.shares_memory(split.u_features, split.features)
+        assert np.shares_memory(split.a_features, split.features)
+
+    @pytest.mark.parametrize("n_unlabeled", [0, 3, -1])
+    def test_boundary_leaves_both_pools_nonempty(self, n_unlabeled):
+        with pytest.raises(ValueError, match="n_unlabeled"):
+            WeakSupervisionSplit(np.zeros((3, 2)), np.zeros(3), n_unlabeled)
 
     def test_test_set_rides_along_untouched(self):
         ds = toy_dataset(300, 90)
@@ -231,10 +238,8 @@ class TestBuildWeakSupervision:
 
 
 def hand_split(store, test=None):
-    """A split of ``store`` whose U is row 0 and whose A is row 1; any
-    further store rows are in neither."""
-    return WeakSupervisionSplit(np.array(store), np.zeros(len(store)), [1], [0], 0.0,
-                                test_features=test)
+    """A split of ``store`` whose U is row 0 and whose A is the rest."""
+    return WeakSupervisionSplit(np.array(store), np.zeros(len(store)), 1, test_features=test)
 
 
 class TestStandardize:
@@ -248,11 +253,10 @@ class TestStandardize:
         assert np.array_equal(out.features.ravel(), [-1.0, 1.0])  # population std = 1
 
     def test_other_matrices_use_train_stats(self):
-        # fit on A ∪ U only: the third store row and the test row are
-        # mapped by (x - 1) / 1, not by statistics that include them
-        out, mean, scale = standardize_split(hand_split([[0.0], [2.0], [100.0]], [[4.0]]))
+        # fit on the store only: the test row is mapped by (x - 1) / 1,
+        # not by statistics that include it
+        out, mean, scale = standardize_split(hand_split([[0.0], [2.0]], [[4.0]]))
         assert (mean[0], scale[0]) == (1.0, 1.0)
-        assert out.features.ravel()[2] == 99.0
         assert out.test_features.ravel()[0] == 3.0
 
     def test_standardize_split_transforms_store_and_test(self):
@@ -260,8 +264,7 @@ class TestStandardize:
         train, test = stratified_split(ds, 0.8, make_rng(0))
         split = build_weak_supervision(train, 5, 0.1, make_rng(0), test=test)
         std_split, mean, scale = standardize_split(split)
-        fit_rows = np.concatenate([std_split.unlabeled_idx, std_split.labeled_idx])
-        used = std_split.features[fit_rows]
+        used = std_split.features
         assert np.allclose(used.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(used.std(axis=0), 1.0, atol=1e-12)
         assert std_split.test_features.shape == test.features.shape

@@ -14,6 +14,7 @@ from prenet.engine import (
     train,
     write_scores_csv,
 )
+from prenet.errors import SchemaError
 from prenet.harness import SyntheticSpec, generate_synthetic
 from prenet.model import (
     ModelConfig,
@@ -123,17 +124,10 @@ class TestScoring:
 
     def test_degenerate_ensemble_no_variance(self):
         split = small_split()
-        tiny = WeakSupervisionSplit(
-            features=split.features,
-            true_labels=split.true_labels,
-            labeled_idx=split.labeled_idx[:1],
-            unlabeled_idx=split.unlabeled_idx[:1],
-            contamination_rate=0.0,
-        )
+        tiny = WeakSupervisionSplit(split.features[[0, -1]], split.true_labels[[0, -1]], 1)
         model = build_variant(ModelConfig("prenet", 3), make_rng(3))
         x = make_rng(4).standard_normal(3)
-        a = tiny.features[tiny.labeled_idx[0]]
-        u = tiny.features[tiny.unlabeled_idx[0]]
+        u, a = tiny.features
         expect = (pair_score(model, a, x) + pair_score(model, x, u)) / 2.0
         for seed in range(3):
             got = score_dataset(model, x[None, :], tiny, 1, make_rng(seed))[0]
@@ -155,8 +149,8 @@ class TestScoring:
         x = make_rng(8).standard_normal(3)
         a_pos = np.array([[2]])
         u_pos = np.array([[5]])
-        a = split.features[split.labeled_idx[2]]
-        u = split.features[split.unlabeled_idx[5]]
+        a = split.features[split.n_unlabeled + 2]
+        u = split.features[5]
         got = score_with_partners(
             model, x[None, :], split.a_features, split.u_features, a_pos, u_pos
         )[0]
@@ -441,3 +435,24 @@ class TestScoresCsv:
         s2, l2 = read_scores_csv(path)
         assert np.array_equal(s2, scores)
         assert l2 is None
+
+    @pytest.mark.parametrize(
+        "text, scores, labels",
+        [
+            ("score,row_index\n0.25,0\n0.75,1\n", [0.25, 0.75], None),
+            # 0/1 scores after the labels are not taken for labels
+            ("row_index,true_label,score\n0,1,0\n1,0,1\n2,0,1\n", [0.0, 1.0, 1.0], [1, 0, 0]),
+        ],
+    )
+    def test_columns_are_found_by_name(self, tmp_path, text, scores, labels):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        got_scores, got_labels = read_scores_csv(path)
+        assert list(got_scores) == scores
+        assert (got_labels if labels is None else list(got_labels)) == labels
+
+    def test_header_without_score_column_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\n0.5,1\n")
+        with pytest.raises(SchemaError, match="no 'score' column"):
+            read_scores_csv(path)

@@ -37,14 +37,12 @@ HIDDEN = {"prenet": (3,), "a2h": (3, 3, 3), "osnet": (3,)}
 
 
 def four_row_split(rng) -> WeakSupervisionSplit:
-    """Store rows 0 and 2 form A, rows 1 and 3 form U, so ascending store
-    order interleaves the two pools."""
+    """Store rows 0 and 1 form U and rows 2 and 3 form A, so ascending
+    store order puts last the A rows that a batch's first slots use."""
     return WeakSupervisionSplit(
         features=rng.standard_normal((4, 2)),
-        true_labels=np.array([1, 0, 1, 0]),
-        labeled_idx=np.array([0, 2]),
-        unlabeled_idx=np.array([1, 3]),
-        contamination_rate=0.0,
+        true_labels=np.array([0, 0, 1, 1]),
+        n_unlabeled=2,
     )
 
 
@@ -211,11 +209,7 @@ def test_training_step_runs_the_stack_once_per_distinct_row(monkeypatch, variant
     rng = make_rng(30)
     store = rng.standard_normal((400, 3))
     split = WeakSupervisionSplit(
-        features=store,
-        true_labels=np.zeros(400, dtype=np.int64),
-        labeled_idx=np.arange(0, 400, 40),
-        unlabeled_idx=np.setdiff1d(np.arange(400), np.arange(0, 400, 40)),
-        contamination_rate=0.0,
+        features=store, true_labels=np.zeros(400, dtype=np.int64), n_unlabeled=390
     )
     model = build_variant(ModelConfig(variant, 3), rng)
     sample = sample_pair_batch if model.config.is_pairwise else sample_instance_batch

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from prenet import harness
 from prenet.dataset import build_weak_supervision, stratified_split
 from prenet.harness import (
     ExperimentSpec,
@@ -145,7 +146,7 @@ class TestAblationSuite:
             )
             worlds.append(split)
         assert np.array_equal(worlds[0].features, worlds[1].features)
-        assert np.array_equal(worlds[0].labeled_idx, worlds[1].labeled_idx)
+        assert worlds[0].n_unlabeled == worlds[1].n_unlabeled
         assert np.array_equal(worlds[0].test_features, worlds[1].test_features)
 
     def test_variant_scores_same_test_rows(self):
@@ -184,7 +185,7 @@ class TestContaminationSweep:
         rng = make_rng(spec.base_seed)
         tr, te = stratified_split(ds, spec.train_fraction, rng)
         split = build_weak_supervision(tr, spec.n_labeled, 0.0, rng, test=te)
-        assert split.true_labels[split.unlabeled_idx].sum() == 0
+        assert split.true_labels[: split.n_unlabeled].sum() == 0
 
 
 @pytest.mark.parametrize(
@@ -260,6 +261,26 @@ def test_experiment_spec_validation():
         fast_spec(variant="nope")
     with pytest.raises(ValueError):
         fast_spec(n_runs=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("ensemble_size", 0), ("n_labeled", 1), ("contamination", -0.01), ("contamination", 0.5),
+     ("contamination", float("nan")), ("train_fraction", 0.0), ("train_fraction", 1.0)],
+)
+def test_experiment_spec_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        fast_spec(**{field: value})
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("a run started training")
+
+
+def test_grid_checks_every_value_before_the_first_run(monkeypatch):
+    monkeypatch.setattr(harness, "train", no_training)
+    with pytest.raises(ValueError, match="contamination"):
+        run_grid(fast_spec(n_runs=1), "contamination", [0.0, 0.02, 0.6])
 
 
 def test_run_output_carries_artifacts():

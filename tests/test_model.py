@@ -83,10 +83,8 @@ def sampled_batch_for(config, dim, rng):
     and whose U pool has 6, so slots repeat rows."""
     split = WeakSupervisionSplit(
         features=rng.standard_normal((8, dim)),
-        true_labels=np.array([0, 1, 0, 0, 1, 0, 0, 0]),
-        labeled_idx=np.array([1, 4]),
-        unlabeled_idx=np.array([0, 2, 3, 5, 6, 7]),
-        contamination_rate=0.0,
+        true_labels=np.array([0, 0, 0, 0, 0, 0, 1, 1]),
+        n_unlabeled=6,
     )
     sample = sample_pair_batch if config.is_pairwise else sample_instance_batch
     batch = sample(split, 8, rng)
@@ -272,16 +270,12 @@ class TestLossAndObjective:
         """Each variant's sampler and batch_targets give a slot the target
         of its number of members drawn from A."""
         split = WeakSupervisionSplit(
-            features=np.zeros((8, 2)),
-            true_labels=np.zeros(8, dtype=np.int64),
-            labeled_idx=np.array([1, 4, 6]),
-            unlabeled_idx=np.array([0, 2, 3, 5, 7]),
-            contamination_rate=0.0,
+            features=np.zeros((8, 2)), true_labels=np.zeros(8, dtype=np.int64), n_unlabeled=5
         )
         cfg = ModelConfig(variant, 2, labels=OrdinalLabels(9.0, 5.0, 1.0))
         sample = sample_pair_batch if cfg.is_pairwise else sample_instance_batch
         batch = sample(split, 64, make_rng(0))
-        from_a = np.isin(batch.slot_index, split.labeled_idx).sum(axis=0)
+        from_a = (batch.slot_index >= split.n_unlabeled).sum(axis=0)
         expect = np.array(TARGETS_BY_A_MEMBERS[variant])[from_a]
         assert np.array_equal(batch_targets(cfg, batch), expect)
         assert set(from_a) == set(range(len(TARGETS_BY_A_MEMBERS[variant])))

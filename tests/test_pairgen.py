@@ -65,13 +65,11 @@ class TestSamplePairBatch:
 
     def test_au_left_side_always_from_labeled_pool(self):
         split = make_split()
-        a_set = set(split.labeled_idx.tolist())
-        u_set = set(split.unlabeled_idx.tolist())
         for seed in range(5):
             batch = sample_pair_batch(split, 64, make_rng(seed))
             au = batch.classes == PairClass.AU
-            assert all(i in a_set for i in batch.slot_index[0][au])
-            assert all(i in u_set for i in batch.slot_index[1][au])
+            assert np.all(batch.slot_index[0][au] >= split.n_unlabeled)  # A rows
+            assert np.all(batch.slot_index[1][au] < split.n_unlabeled)  # U rows
 
     def test_indices_match_features(self):
         split = make_split()
@@ -86,11 +84,13 @@ class TestSamplePairBatch:
 
     def test_slot_indices_equal_direct_draws(self):
         """Deduplication leaves the drawn pairs and the generator as they
-        were: slot i pairs the store rows the six pool draws give."""
+        were: slot i pairs the store rows that six draws indexing each
+        pool's row range give."""
         split = make_split(n_labeled=3)
         rng, reference = make_rng(4), make_rng(4)
         batch = sample_pair_batch(split, 16, rng)
-        a, u = split.labeled_idx, split.unlabeled_idx
+        a = np.arange(split.n_unlabeled, len(split.features))
+        u = np.arange(split.n_unlabeled)
         draws = [
             pool[reference.integers(0, pool.size, size=n)]
             for pool, n in ((a, 4), (a, 4), (a, 4), (u, 4), (u, 8), (u, 8))
@@ -102,15 +102,9 @@ class TestSamplePairBatch:
 
     def test_singleton_pools(self):
         split = make_split()
-        tiny = type(split)(
-            features=split.features,
-            true_labels=split.true_labels,
-            labeled_idx=split.labeled_idx[:1],
-            unlabeled_idx=split.unlabeled_idx[:1],
-            contamination_rate=0.0,
-        )
+        tiny = type(split)(split.features[[0, -1]], split.true_labels[[0, -1]], n_unlabeled=1)
         batch = sample_pair_batch(tiny, 4, make_rng(0))
-        a, u = tiny.labeled_idx[0], tiny.unlabeled_idx[0]
+        a, u = 1, 0
         assert list(batch.slot_index[0]) == [a, a, u, u]
         assert list(batch.slot_index[1]) == [a, u, u, u]
 
@@ -128,7 +122,7 @@ class TestSamplePairBatch:
         n_batches = 10_000
         for _ in range(n_batches):
             batch = sample_pair_batch(split, 4, rng)
-            pos = np.searchsorted(split.labeled_idx, batch.slot_index[0, 0])
+            pos = batch.slot_index[0, 0] - split.n_unlabeled
             counts[pos] += 1
         freq = counts / n_batches
         assert np.all(np.abs(freq - 1.0 / 3.0) < 0.02)
@@ -145,9 +139,8 @@ class TestSampleInstanceBatch:
     def test_pool_membership(self):
         split = make_split()
         batch = sample_instance_batch(split, 32, make_rng(1))
-        a_set = set(split.labeled_idx.tolist())
         for i, cls in zip(batch.slot_index[0], batch.classes):
-            assert (i in a_set) == (cls == PairClass.AU)
+            assert (i >= split.n_unlabeled) == (cls == PairClass.AU)
         assert batch.positions.shape == (1, 32)
         assert np.all(np.diff(batch.row_index) > 0)
         assert np.array_equal(batch.rows[batch.positions[0]], split.features[batch.slot_index[0]])
@@ -220,7 +213,7 @@ class TestEmpiricalProportions:
     def test_monte_carlo_matches_formulas(self):
         # unlabeled pool with exactly 5% true anomalies
         split = make_split(n_normal=1900, n_anomaly=200, n_labeled=60, eps=0.05, seed=4)
-        u_true = split.true_labels[split.unlabeled_idx]
+        u_true = split.true_labels[: split.n_unlabeled]
         assert u_true.mean() == pytest.approx(0.05)
         rng = make_rng(99)
         n_pairs = 0
@@ -260,8 +253,8 @@ class TestEmpiricalProportions:
             np.add.at(count, cell, 1)
         fit = total / count
         # pair every true anomaly and true normal of the store with drawn partners
-        a = rng.choice(split.labeled_idx, size=(len(true), 30))
-        u = rng.choice(split.unlabeled_idx, size=(len(true), 30))
+        a = split.n_unlabeled + rng.choice(split.n_labeled, size=(len(true), 30))
+        u = rng.choice(split.n_unlabeled, size=(len(true), 30))
         x = true[:, None]
         score = np.concatenate([fit[true[a], x], fit[x, true[u]]], axis=1).mean(axis=1)
         anom, norm = expected_scores(LABELS, 0.05)
