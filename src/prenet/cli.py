@@ -4,6 +4,10 @@ Commands: synth, train, score, eval, experiment, ablate, sweep, theory.
 Machine-readable results go to files (JSON/CSV); stdout carries short
 human-readable summaries. Exit codes: 0 success, 2 usage error,
 3 data/capacity error, 4 numeric failure.
+
+Settings and their defaults are declared once, in the specs: each run
+flag (``RUN_FLAGS``) and each synth flag has the field it sets as its
+dest and that field's default as its default.
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .dataset import apply_standardization, binary_labels, load_csv, load_feature_csv, save_csv
 from .engine import read_scores_csv, score_rows, train, write_scores_csv
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, SchemaError
 from .harness import (
     ExperimentSpec,
     SyntheticSpec,
@@ -50,6 +54,10 @@ def _parse_labels(text: str) -> OrdinalLabels:
     return OrdinalLabels(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
+def _labels_text(labels: OrdinalLabels) -> str:
+    return f"{labels.aa:g},{labels.au:g},{labels.uu:g}"
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
@@ -73,100 +81,78 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    """The flags every training command takes."""
+# Each run flag of train, experiment, ablate and sweep: the ExperimentSpec
+# field it sets (its dest), its type and its help; its default is the
+# field's default. --labels and --hidden-dims stay text until
+# _spec_from_args parses them, so that a bad value is one error line;
+# --no-standardize (type bool) clears its field.
+RUN_FLAGS = {
+    "--seed": ("base_seed", int, "base seed; run i uses seed+i"),
+    "--n-labeled": ("n_labeled", int, "labeled anomalies available for training"),
+    "--no-standardize": ("standardize", bool,
+                         "skip z-scoring features with training statistics (standardize: "
+                         "%(default)s)"),
+    "--labels": ("labels", str, "ordinal targets aa,au,uu"),
+    "--l2": ("l2_lambda", float, "weight penalty coefficient"),
+    "--epochs": ("n_epochs", int, "training epochs"),
+    "--batches-per-epoch": ("n_batches_per_epoch", int, "mini-batches per epoch"),
+    "--batch-size": ("batch_size", int, "pairs (or instances) per mini-batch"),
+    "--learning-rate": ("learning_rate", float, "RMSprop learning rate"),
+    "--variant": ("variant", str, f"model variant: {', '.join(VARIANTS)}"),
+    "--hidden-dims": ("hidden_dims", str,
+                      "comma-separated hidden layer widths; the variant's own if None"),
+    "--contamination": ("contamination", float, "anomaly fraction of the unlabeled pool"),
+    "--runs": ("n_runs", int, "independent runs to average"),
+    "--train-fraction": ("train_fraction", float, "fraction of each class kept for training"),
+    "--ensemble-size": ("ensemble_size", int, "partner draws per side when scoring"),
+}
+# the flags of a multi-run experiment, which train rejects
+EXPERIMENT_FLAGS = ("--runs", "--train-fraction", "--ensemble-size", "--jobs", "--spec-file")
+_PARSED_LATE = {"labels": _parse_labels, "hidden_dims": _parse_hidden_dims}
+_DEFAULT_SPEC = ExperimentSpec(source="")
+
+
+def _add_run_flags(p: argparse.ArgumentParser, omit=()) -> None:
+    """Add --data and every run flag not in ``omit``."""
     p.add_argument("--data", help="labeled CSV dataset")
-    p.add_argument("--label-column", default="label", help="name of the label column")
-    p.add_argument("--anomaly-value", default=None,
-                   help="label value to treat as the anomaly class")
-    p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
-    p.add_argument("--n-labeled", type=int, default=60,
-                   help="labeled anomalies available for training")
-    p.add_argument("--no-standardize", action="store_true",
-                   help="skip z-scoring features with training statistics")
-    p.add_argument("--labels", default="8,4,0", help="ordinal targets aa,au,uu")
-    p.add_argument("--l2", type=float, default=0.01, dest="l2_lambda",
-                   help="weight penalty coefficient")
-    p.add_argument("--epochs", type=int, default=50, help="training epochs")
-    p.add_argument("--batches-per-epoch", type=int, default=20,
-                   help="mini-batches per epoch")
-    p.add_argument("--batch-size", type=int, default=512,
-                   help="pairs (or instances) per mini-batch")
-    p.add_argument("--learning-rate", type=float, default=0.001,
-                   help="RMSprop learning rate")
+    _add_column_flags(p)
+    for flag, (field, kind, text) in RUN_FLAGS.items():
+        if flag in omit:
+            continue
+        default = getattr(_DEFAULT_SPEC, field)
+        if kind is bool:
+            p.add_argument(flag, dest=field, action="store_false", default=default, help=text)
+            continue
+        if isinstance(default, OrdinalLabels):
+            default = _labels_text(default)
+        p.add_argument(flag, dest=field, type=kind, default=default, help=text,
+                       metavar=flag[2:].upper().replace("-", "_"))
+    if "--jobs" not in omit:
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for independent runs")
+        p.add_argument("--spec-file", help="flat key=value file; explicit flags override it")
 
 
-def _add_variant_flags(p: argparse.ArgumentParser) -> None:
-    """The model flags, which ablate sets per variant itself."""
-    p.add_argument("--variant", choices=VARIANTS, default="prenet",
-                   help="model variant")
-    p.add_argument("--hidden-dims", default=None,
-                   help="comma-separated hidden layer widths (default: per variant)")
-
-
-def _add_contamination_flag(p: argparse.ArgumentParser) -> None:
-    """The contamination rate, which sweep sets per rate itself."""
-    p.add_argument("--contamination", type=float, default=0.02,
-                   help="anomaly fraction of the unlabeled pool")
-
-
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    """The training flags plus the flags of a multi-run experiment."""
-    _add_training_flags(p)
-    p.add_argument("--runs", type=int, default=10, help="independent runs to average")
-    p.add_argument("--train-fraction", type=float, default=0.8,
-                   help="fraction of each class kept for training")
-    p.add_argument("--ensemble-size", type=int, default=30,
-                   help="partner draws per side when scoring")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent runs")
-    p.add_argument("--spec-file", default=None,
-                   help="flat key=value file; explicit flags override it")
+def _add_column_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--label-column", default=_DEFAULT_SPEC.label_column,
+                   help="name of the label column")
+    p.add_argument("--anomaly-value", help="label value to treat as the anomaly class")
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    """The spec of the flags the command takes; the fields of the flags
-    it lacks keep their defaults."""
+    """The default spec with each field the command has a flag for set
+    from that flag."""
     if not args.data:
         raise ValueError("--data is required")
-    spec = ExperimentSpec(
-        source=args.data,
-        base_seed=args.seed,
-        n_labeled=args.n_labeled,
-        standardize=not args.no_standardize,
-        label_column=args.label_column,
-        anomaly_value=args.anomaly_value,
-        labels=_parse_labels(args.labels),
-        l2_lambda=args.l2_lambda,
-        n_epochs=args.epochs,
-        n_batches_per_epoch=args.batches_per_epoch,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-    )
-    if "variant" in args:
-        spec = replace(
-            spec, variant=args.variant, hidden_dims=_parse_hidden_dims(args.hidden_dims)
-        )
-    if "contamination" in args:
-        spec = replace(spec, contamination=args.contamination)
-    if "runs" in args:
-        spec = replace(
-            spec,
-            n_runs=args.runs,
-            train_fraction=args.train_fraction,
-            ensemble_size=args.ensemble_size,
-        )
-    return spec
+    values = {
+        field: _PARSED_LATE.get(field, lambda v: v)(getattr(args, field))
+        for field in (f.name for f in fields(ExperimentSpec))
+        if field in args
+    }
+    return replace(_DEFAULT_SPEC, source=args.data, **values)
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_normal=args.n_normal,
-        n_anomaly=args.n_anomaly,
-        dim=args.dim,
-        separation=args.separation,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     ds = generate_synthetic(spec)
     save_csv(ds, args.output)
     print(f"wrote {ds.n} rows ({ds.n_anomalies} anomalies, dim {ds.dim}) to {args.output}")
@@ -228,6 +214,8 @@ def cmd_eval(args) -> int:
                 f"{scores.shape[0]} scores for {ds.n} labeled rows in {args.data}"
             )
         labels = ds.labels
+    if labels.min() == labels.max():
+        raise SchemaError(f"labels hold only class {labels[0]}; the metrics need both")
     report = evaluate(scores, labels)
     doc = report.as_dict()
     doc["generated_at"] = _timestamp()
@@ -295,61 +283,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = _Sub()
 
     p = sub.add_parser("synth", help="generate a two-Gaussian synthetic dataset CSV")
-    p.add_argument("--n-normal", type=int, default=1000, help="normal instances")
-    p.add_argument("--n-anomaly", type=int, default=50, help="anomalous instances")
-    p.add_argument("--dim", type=int, default=2, help="feature count")
-    p.add_argument("--separation", type=float, default=6.0,
-                   help="distance between class means in units of the shared std")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    synth = SyntheticSpec()
+    for flag, kind, text in (
+        ("--n-normal", int, "normal instances"),
+        ("--n-anomaly", int, "anomalous instances"),
+        ("--dim", int, "feature count"),
+        ("--separation", float, "distance between class means in units of the shared std"),
+        ("--seed", int, "generator seed"),
+    ):
+        p.add_argument(flag, type=kind, default=getattr(synth, flag[2:].replace("-", "_")),
+                       help=text)
     p.add_argument("-o", "--output", required=True, help="dataset CSV path")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train on a labeled CSV (whole file is the training pool)")
-    _add_training_flags(p)
-    _add_variant_flags(p)
-    _add_contamination_flag(p)
+    _add_run_flags(p, omit=EXPERIMENT_FLAGS)
     p.add_argument("-o", "--output", required=True, help="checkpoint JSON path")
-    p.add_argument("--report", default=None,
-                   help="training report JSON path (default: <checkpoint>.train.json)")
+    p.add_argument("--report", help="training report JSON path (default: <checkpoint>.train.json)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a CSV with a trained checkpoint")
     p.add_argument("--checkpoint", required=True, help="checkpoint JSON from train")
     p.add_argument("--data", required=True, help="CSV to score (label column optional)")
-    p.add_argument("--label-column", default="label", help="name of the label column")
-    p.add_argument("--anomaly-value", default=None,
-                   help="label value to treat as the anomaly class")
-    p.add_argument("--ensemble-size", type=int, default=30,
+    _add_column_flags(p)
+    p.add_argument("--ensemble-size", type=int, default=_DEFAULT_SPEC.ensemble_size,
                    help="partner draws per side")
-    p.add_argument("--seed", type=int, default=0, help="partner-draw seed")
+    p.add_argument("--seed", type=int, default=_DEFAULT_SPEC.base_seed, help="partner-draw seed")
     p.add_argument("-o", "--output", required=True, help="scores CSV path")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="compute AUC-ROC / AUC-PR from a scores CSV")
     p.add_argument("--scores", required=True, help="scores CSV from score")
-    p.add_argument("--data", default=None, help="labeled CSV when scores lack true_label")
-    p.add_argument("--label-column", default="label", help="name of the label column")
-    p.add_argument("--anomaly-value", default=None,
-                   help="label value to treat as the anomaly class")
+    p.add_argument("--data", help="labeled CSV when scores lack true_label")
+    _add_column_flags(p)
     p.add_argument("-o", "--output", required=True, help="metrics JSON path")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="multi-run split/train/score/eval protocol")
-    _add_experiment_flags(p)
-    _add_variant_flags(p)
-    _add_contamination_flag(p)
+    _add_run_flags(p)
     p.add_argument("-o", "--output", required=True, help="aggregate report JSON path")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("ablate", help="run all model variants under shared splits")
-    _add_experiment_flags(p)
-    _add_contamination_flag(p)
+    _add_run_flags(p, omit=("--variant", "--hidden-dims"))
     p.add_argument("-o", "--output", required=True, help="per-variant report JSON path")
     p.set_defaults(func=cmd_grid, field="variant", values=VARIANTS)
 
     p = sub.add_parser("sweep", help="repeat an experiment across contamination rates")
-    _add_experiment_flags(p)
-    _add_variant_flags(p)
+    _add_run_flags(p, omit=("--contamination",))
     p.add_argument("--rates", default="0,0.02,0.05,0.1", dest="values", metavar="RATES",
                    type=_parse_floats, help="comma-separated contamination rates")
     p.add_argument("-o", "--output", required=True, help="sweep report JSON path")
@@ -357,46 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="closed-form expectations for a contamination rate")
     p.add_argument("--eps", type=float, required=True, help="contamination rate in [0, 1)")
-    p.add_argument("--labels", default="8,4,0", help="ordinal targets aa,au,uu")
+    p.add_argument("--labels", default=_labels_text(OrdinalLabels()),
+                   help="ordinal targets aa,au,uu")
     p.set_defaults(func=cmd_theory)
 
     return parser
 
 
-def _apply_spec_file(argv: list[str]) -> list[str]:
-    """Splice values from --spec-file in as overridable defaults."""
-    if "--spec-file" not in argv:
-        return argv
-    pos = argv.index("--spec-file")
-    if pos + 1 >= len(argv):
-        return argv
-    values = parse_spec_file(argv[pos + 1])
-    flag_args: list[str] = []
-    for key, value in values.items():
+def _spec_file_flags(path) -> list[str]:
+    """The values of a spec file as the flags its keys name."""
+    flags: list[str] = []
+    for key, value in parse_spec_file(path).items():
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                flag_args.append(flag)
-        else:
-            flag_args.extend([flag, value])
-    # file values go right after the subcommand so explicit flags win
-    return argv[:1] + flag_args + argv[1:]
+        if value.lower() not in ("true", "false"):
+            flags += [flag, value]
+        elif value.lower() == "true":
+            flags.append(flag)
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if argv and argv[0] in ("experiment", "ablate", "sweep"):
-        try:
-            argv = _apply_spec_file(argv)
-        except OSError as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "spec_file", None):
+            # file values go right after the command, so explicit flags win
+            args = parser.parse_args(argv[:1] + _spec_file_flags(args.spec_file) + argv[1:])
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

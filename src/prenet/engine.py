@@ -63,6 +63,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.n_epochs, self.n_batches_per_epoch, self.batch_size) < 1:
             raise ValueError("epochs, batches per epoch and batch size must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         divisor = 4 if self.model.is_pairwise else 2
         if self.batch_size % divisor:
             raise ValueError(

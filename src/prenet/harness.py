@@ -106,6 +106,7 @@ class ExperimentSpec:
             raise ValueError(f"contamination must be in [0, 0.5), got {self.contamination}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        train_config_for(self, 1, self.base_seed)  # the model and training checks
 
     def dataset_name(self) -> str:
         if isinstance(self.source, SyntheticSpec):

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import prenet
 from prenet import harness
-from prenet.cli import build_parser, main
+from prenet.cli import _spec_from_args, build_parser, main
 from prenet.engine import read_scores_csv
 from prenet.model import load_checkpoint
 
@@ -224,18 +225,31 @@ class TestExperiment:
             "-o", str(tmp_path / "r.json"),
         ]) == 3
 
-    def test_spec_file_defaults_and_overrides(self, tmp_path):
-        data = make_data(tmp_path)
+    @staticmethod
+    def spec_file(tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
-            f"data = {data}\nruns = 1\nseed = 5\nn-labeled = 8\nepochs = 2\n"
+            f"data = {make_data(tmp_path)}\nruns = 1\nseed = 5\nn-labeled = 8\nepochs = 2\n"
             "batches-per-epoch = 2\nbatch-size = 16\nensemble-size = 4\n"
         )
+        return cfg
+
+    def test_spec_file_defaults_and_overrides(self, tmp_path):
+        cfg = self.spec_file(tmp_path)
         out = tmp_path / "r.json"
         assert main(["experiment", "--spec-file", str(cfg), "-o", str(out)]) == 0
         assert json.loads(out.read_text())["seeds"] == [5]
         # explicit flag beats the file value
         assert main(["experiment", "--spec-file", str(cfg), "--seed", "9", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["seeds"] == [9]
+
+    @pytest.mark.parametrize("form", [["--spec-file={}"], ["--spec", "{}"]],
+                             ids=["equals", "abbreviated"])
+    def test_spec_file_in_every_form_argparse_takes(self, form, tmp_path):
+        cfg = self.spec_file(tmp_path)
+        out = tmp_path / "r.json"
+        flags = [token.format(cfg) for token in form]
+        assert main(["experiment", *flags, "--seed", "9", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["seeds"] == [9]
 
 
@@ -349,9 +363,48 @@ TRAIN_FILE_FLAGS = {"--help", "--output", "--report", "--data", "--label-column"
                     "--anomaly-value"}
 
 
-def _flags(command):
+def _actions(command):
     commands = next(a for a in build_parser()._actions if a.dest == "command")
-    return [a.option_strings[-1] for a in commands.choices[command]._actions if a.option_strings]
+    return [a for a in commands.choices[command]._actions if a.option_strings]
+
+
+def _flags(command):
+    return [a.option_strings[-1] for a in _actions(command)]
+
+
+def test_every_experiment_spec_field_has_one_experiment_flag():
+    dests = [a.dest for a in _actions("experiment")]
+    for field in dataclasses.fields(harness.ExperimentSpec):
+        # --data sets the source
+        assert dests.count(field.name) == (field.name != "source"), field.name
+
+
+def test_every_synthetic_spec_field_has_one_synth_flag():
+    dests = [a.dest for a in _actions("synth")]
+    assert all(dests.count(f.name) == 1 for f in dataclasses.fields(harness.SyntheticSpec))
+    args = build_parser().parse_args(["synth", "-o", "d.csv"])
+    assert {d: getattr(args, d) for d in dests if d not in ("help", "output")} == (
+        dataclasses.asdict(harness.SyntheticSpec())
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "experiment", "ablate", "sweep"])
+def test_run_flags_default_to_the_spec_defaults(command):
+    args = build_parser().parse_args([command, "--data", "d.csv", "-o", "r.json"])
+    assert _spec_from_args(args) == harness.ExperimentSpec(source="d.csv")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "score", "eval", "experiment", "ablate",
+                                     "sweep", "theory"])
+def test_help_names_each_value_after_its_flag(command, capsys):
+    for action in _actions(command):
+        if action.nargs != 0:
+            shown = action.metavar or action.dest.upper()
+            assert shown == action.option_strings[-1][2:].upper().replace("-", "_"), action
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert ("--labels" in out) == ("(default: 8,4,0)" in out)
 
 
 @pytest.mark.parametrize(
@@ -377,11 +430,12 @@ def test_every_train_flag_changes_the_training(flag, trained, tmp_path):
 
 # ablate and sweep on one run with FAST's training; sweep on two rates
 RUN_FAST = [*FAST, "--runs", "1", "--ensemble-size", "4"]
-# A value other than RUN_FAST's for each flag of ablate and sweep. Both
-# reports hold one experiment report, config included, per variant or rate.
+# A value other than RUN_FAST's for each flag of experiment, ablate and sweep.
+# The ablate and sweep reports hold one experiment report, config included,
+# per variant or rate.
 RUN_FLAG_VALUES = {**TRAIN_FLAG_VALUES, "--runs": ["2"], "--train-fraction": ["0.7"],
                    "--ensemble-size": ["5"], "--rates": ["0.05"]}
-# flags of ablate and sweep that change no result: help, files, columns and workers
+# flags of the run commands that change no result: help, files, columns and workers
 RUN_FILE_FLAGS = {"--help", "--output", "--data", "--label-column", "--anomaly-value",
                   "--jobs", "--spec-file"}
 
@@ -395,15 +449,18 @@ def _run_report(command, data, tmp_path, *flags):
 
 @pytest.fixture(scope="module")
 def run_reports(tmp_path_factory):
-    """A labeled CSV and the ablate and sweep reports of RUN_FAST on it."""
+    """A labeled CSV and the experiment, ablate and sweep reports of
+    RUN_FAST on it."""
     d = tmp_path_factory.mktemp("runs")
     data = make_data(d)
-    return data, {command: _run_report(command, data, d) for command in ("ablate", "sweep")}
+    commands = ("experiment", "ablate", "sweep")
+    return data, {command: _run_report(command, data, d) for command in commands}
 
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(c, f) for c in ("ablate", "sweep") for f in _flags(c) if f not in RUN_FILE_FLAGS],
+    [(c, f) for c in ("ablate", "sweep", "experiment") for f in _flags(c)
+     if f not in RUN_FILE_FLAGS],
 )
 def test_every_ablate_and_sweep_flag_changes_the_report(command, flag, run_reports, tmp_path):
     assert flag in RUN_FLAG_VALUES, (
@@ -519,8 +576,32 @@ def _eval_scores(last_row):
     return _eval_file(f"0,0.9,1\n1,0.1,0\n{last_row}\n")
 
 
-def _no_training(*args, **kwargs):
-    raise AssertionError("an experiment run started training")
+def _eval_with_data(labels):
+    """Row: evaluate a scores file without true_label against a labeled
+    CSV holding ``labels``."""
+
+    def argv(tmp_path, data, ckpt):
+        scores, labeled = tmp_path / "scores.csv", tmp_path / "labeled.csv"
+        scores.write_text("row_index,score\n" + "".join(f"{i},0.{i}\n" for i in range(len(labels))))
+        labeled.write_text("f1,label\n" + "".join(f"{i}.5,{y}\n" for i, y in enumerate(labels)))
+        return ["eval", "--scores", str(scores), "--data", str(labeled),
+                "-o", str(tmp_path / "m.json")]
+
+    return argv
+
+
+def _experiment(*flags):
+    """Row: an experiment on the data with FAST_EXPERIMENT and then ``flags``."""
+
+    def argv(tmp_path, data, ckpt):
+        return ["experiment", "--data", str(data), *FAST_EXPERIMENT, *flags,
+                "-o", str(tmp_path / "r.json")]
+
+    return argv
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("an experiment run started")
 
 
 MALFORMED_INPUTS = [
@@ -553,9 +634,10 @@ MALFORMED_INPUTS = [
     ("eval_label_value_2", _eval_scores("2,0.5,2"), 3),
     ("eval_header_only", _eval_file(""), 3),
     ("eval_no_score_column", _eval_file("0.9,1\n0.1,0\n", header="a,b"), 3),
-    ("jobs_zero",
-     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST_EXPERIMENT,
-                                   "--jobs", "0", "-o", str(tmp_path / "r.json")], 2),
+    ("eval_only_normals", _eval_file("0,0.9,0\n1,0.1,0\n"), 3),
+    ("eval_only_anomalies", _eval_file("0,0.9,1\n1,0.1,1\n"), 3),
+    ("eval_data_only_normals", _eval_with_data([0, 0, 0]), 3),
+    ("jobs_zero", _experiment("--jobs", "0"), 2),
     ("train_labels_inf",
      lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "inf,4,0",
                                    "-o", str(tmp_path / "m.json")], 2),
@@ -572,6 +654,10 @@ MALFORMED_INPUTS = [
      lambda tmp_path, data, ckpt: ["experiment", "--data", str(data),
                                    "--spec-file", str(tmp_path / "nope.cfg"),
                                    "-o", str(tmp_path / "r.json")], 3),
+    ("experiment_missing_spec_file_given_with_equals",
+     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data),
+                                   f"--spec-file={tmp_path / 'nope.cfg'}",
+                                   "-o", str(tmp_path / "r.json")], 3),
     # finite targets whose absolute errors sum past the float64 range
     ("train_labels_objective_overflow",
      lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "1e308,4,0",
@@ -581,9 +667,11 @@ MALFORMED_INPUTS = [
                                    "--rates", "0.02,0.020,0", "-o", str(tmp_path / "sw.json")],
      2),
     # range errors that need no data fail before the first run trains
-    ("experiment_ensemble_size_zero",
-     lambda tmp_path, data, ckpt: ["experiment", "--data", str(data), *FAST_EXPERIMENT,
-                                   "--ensemble-size", "0", "-o", str(tmp_path / "r.json")], 2),
+    ("experiment_ensemble_size_zero", _experiment("--ensemble-size", "0"), 2),
+    ("experiment_batch_size_6", _experiment("--batch-size", "6"), 2),
+    ("experiment_epochs_zero", _experiment("--epochs", "0"), 2),
+    ("experiment_hidden_dims_zero", _experiment("--hidden-dims", "0"), 2),
+    ("experiment_learning_rate_zero", _experiment("--learning-rate", "0"), 2),
     ("sweep_rate_out_of_range_last",
      lambda tmp_path, data, ckpt: ["sweep", "--data", str(data), *FAST_EXPERIMENT,
                                    "--rates", "0,0.02,0.6", "-o", str(tmp_path / "sw.json")],
@@ -597,9 +685,9 @@ MALFORMED_INPUTS = [
 def test_malformed_input_exit_code(case, argv, expected, trained, tmp_path, capsys, monkeypatch):
     data, ckpt = trained
     args = argv(tmp_path, data, ckpt)
-    # no malformed input gets as far as training a run of an experiment
-    monkeypatch.setattr(harness, "train", _no_training)
+    # no malformed input gets as far as starting a run of an experiment
+    monkeypatch.setattr(harness, "run_single", _no_run)
     assert main(args) == expected
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err and "run 0" not in err, err
     assert not Path(args[args.index("-o") + 1]).exists()

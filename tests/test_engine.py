@@ -91,6 +91,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             tiny_cfg("osnet", batch_size=9)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.001, float("inf"), float("nan")])
+    def test_learning_rate_validation(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            tiny_cfg(learning_rate=rate)
+
     @pytest.mark.parametrize("variant", ["prenet", "bor", "osnet", "ldm", "a2h"])
     def test_all_variants_train(self, variant):
         split = small_split()

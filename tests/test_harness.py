@@ -273,6 +273,17 @@ def test_experiment_spec_rejects_out_of_range_values(field, value):
         fast_spec(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("batch_size", 6), ("n_epochs", 0), ("hidden_dims", (0,)), ("hidden_dims", (20, 20)),
+     ("learning_rate", 0.0), ("l2_lambda", -1.0)],
+)
+def test_experiment_spec_checks_the_model_and_training_config(field, value):
+    # the same checks as ModelConfig and TrainConfig, before any data is read
+    with pytest.raises(ValueError):
+        fast_spec(**{field: value})
+
+
 def no_training(*args, **kwargs):
     raise AssertionError("a run started training")
 
