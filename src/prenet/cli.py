@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .dataset import apply_standardization, binary_labels, load_csv, load_feature_csv, save_csv
+from .dataset import apply_standardization, load_csv, load_feature_csv, save_csv
 from .engine import read_scores_csv, score_rows, train, write_scores_csv
 from .errors import DataError, NumericError, SchemaError
 from .harness import (
@@ -47,28 +47,31 @@ from .pairgen import (
 )
 
 
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    """The comma-separated values of ``flag`` as ``kind``; a bad one is a ValueError."""
+    try:
+        return [kind(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"{flag} expects comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
+
+
 def _parse_labels(text: str) -> OrdinalLabels:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
+    values = _parse_list(text, float, "--labels")
+    if len(values) != 3:
         raise ValueError(f"--labels expects 'aa,au,uu', got {text!r}")
-    return OrdinalLabels(float(parts[0]), float(parts[1]), float(parts[2]))
+    return OrdinalLabels(*values)
 
 
 def _labels_text(labels: OrdinalLabels) -> str:
     return f"{labels.aa:g},{labels.au:g},{labels.uu:g}"
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",")]
-
-
 def _parse_hidden_dims(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
+    return tuple(_parse_list(text, int, "--hidden-dims")) if text.strip() else ()
 
 
 def _timestamp() -> str:
@@ -185,8 +188,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     model, extras = load_checkpoint(args.checkpoint)
-    features, raw_labels, _ = load_feature_csv(args.data, args.label_column)
-    labels = None if raw_labels is None else binary_labels(raw_labels, args.anomaly_value)
+    features, labels, _ = load_feature_csv(args.data, args.label_column, args.anomaly_value)
     if features.shape[1] != model.config.input_dim:
         raise DataError(
             f"{args.data} has {features.shape[1]} features, checkpoint expects "
@@ -239,7 +241,10 @@ def cmd_experiment(args) -> int:
 
 def cmd_grid(args) -> int:
     spec = _spec_from_args(args)
-    results = run_grid(spec, args.field, args.values, jobs=args.jobs)
+    values = args.values
+    if isinstance(values, str):  # sweep's --rates, parsed late so a bad rate is one error line
+        values = _parse_list(values, float, "--rates")
+    results = run_grid(spec, args.field, values, jobs=args.jobs)
     for value, agg in results.items():
         print(
             f"{args.field} {value}: auc_roc {agg.auc_roc_mean:.4f}±{agg.auc_roc_std:.4f}  "
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="repeat an experiment across contamination rates")
     _add_run_flags(p, omit=("--contamination",))
     p.add_argument("--rates", default="0,0.02,0.05,0.1", dest="values", metavar="RATES",
-                   type=_parse_floats, help="comma-separated contamination rates")
+                   help="comma-separated contamination rates")
     p.add_argument("-o", "--output", required=True, help="sweep report JSON path")
     p.set_defaults(func=cmd_grid, field="contamination")
 

@@ -1,13 +1,15 @@
-"""Tabular dataset ingestion and construction of the weak-supervision
-world: a small labeled anomaly pool A, a large contaminated unlabeled
-pool U, and an untouched test split.
+"""The one CSV reader and writer, for dataset and scores files, and
+the construction of the weak-supervision world: a small labeled anomaly
+pool A, a large contaminated unlabeled pool U, and an untouched test
+split.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,52 +101,58 @@ class WeakSupervisionSplit:
         return self.features[: self.n_unlabeled]
 
 
-def _parse_cell(raw: str, row: int, col: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise SchemaError(
-            f"non-numeric value {raw!r} at row {row}, column {col!r}"
-        ) from None
-
-
 def load_feature_csv(
-    path, label_column: str = "label"
-) -> tuple[np.ndarray, list[str] | None, list[str]]:
-    """Parse a headered numeric CSV.
+    path, label_column: str = "label", anomaly_value: str | None = None
+) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+    """Parse a headered CSV; the one reader of dataset and scores files.
 
-    Returns ``(features, raw_labels_or_None, feature_names)``; the label
-    column is optional here so score-time data without ground truth can
-    reuse the same parser.
+    Header and label cells are stripped and blank lines skipped. Every row
+    must be as wide as the header, and every column but the label column
+    (optional, at any position) must hold finite numbers, or
+    :class:`SchemaError` is raised. Returns ``(features, labels_or_None,
+    feature_names)``, the labels mapped by :func:`binary_labels`.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
         label_pos = header.index(label_column) if label_column in header else None
         feature_names = [h for i, h in enumerate(header) if i != label_pos]
-        rows: list[list[float]] = []
+        if not feature_names:
+            raise SchemaError(f"{path}: no feature column besides {label_column!r}")
         raw_labels: list[str] = []
-        for row_no, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != len(header):
-                raise SchemaError(
-                    f"row {row_no} has {len(record)} cells, header has {len(header)}"
-                )
-            vals = []
-            for i, cell in enumerate(record):
-                if i == label_pos:
-                    raw_labels.append(cell.strip())
-                else:
-                    vals.append(_parse_cell(cell.strip(), row_no, header[i]))
-            rows.append(vals)
-    if not rows:
+        last = [0, []]  # number and feature cells of the row yielded last
+
+        def feature_cells():
+            for row_no, record in enumerate(reader, start=2):
+                if not record or (len(record) == 1 and not record[0].strip()):
+                    continue
+                if len(record) != len(header):
+                    raise SchemaError(
+                        f"row {row_no} has {len(record)} cells, header has {len(header)}"
+                    )
+                if label_pos is not None:
+                    raw_labels.append(record.pop(label_pos).strip())
+                last[:] = row_no, record
+                yield record
+
+        # each cell goes straight into the array; no row is kept as Python floats
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(feature_cells())), np.float64)
+        except ValueError:
+            for cell, name in zip(last[1], feature_names):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise SchemaError(
+                        f"non-numeric value {cell.strip()!r} at row {last[0]}, column {name!r}"
+                    ) from None
+            raise
+    if not values.size:
         raise SchemaError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
+    features = values.reshape(-1, len(feature_names))
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         row, col = bad[0]
@@ -152,29 +160,42 @@ def load_feature_csv(
             f"{path}: non-finite value {float(features[row, col])!r} in data row {row + 1}, "
             f"column {feature_names[col]!r}"
         )
-    return features, (raw_labels if label_pos is not None else None), feature_names
+    labels = None if label_pos is None else binary_labels(raw_labels, anomaly_value)
+    return features, labels, feature_names
 
 
 def load_csv(
     path, label_column: str = "label", anomaly_value: str | None = None
 ) -> LabeledDataset:
-    """Load a labeled CSV into a :class:`LabeledDataset`; the label
-    column is mapped by :func:`binary_labels`."""
-    features, raw_labels, feature_names = load_feature_csv(path, label_column)
-    if raw_labels is None:
+    """Load a labeled CSV into a :class:`LabeledDataset`."""
+    features, labels, feature_names = load_feature_csv(path, label_column, anomaly_value)
+    if labels is None:
         raise SchemaError(f"label column {label_column!r} not found in {path}")
-    return LabeledDataset(features, binary_labels(raw_labels, anomaly_value), feature_names)
+    return LabeledDataset(features, labels, feature_names)
+
+
+def _not_binary(raw: str) -> SchemaError:
+    return SchemaError(f"label value {raw!r} is not 0/1; pass an explicit anomaly value")
 
 
 def binary_labels(raw_labels: Sequence[str], anomaly_value: str | None = None) -> np.ndarray:
     """Map the raw cells of a label column to 1 (anomaly) / 0 (normal).
 
     Without ``anomaly_value`` the column must hold only values
-    numerically equal to 0 or 1. With it, cells equal to
-    ``anomaly_value`` become anomalies and the rest normals; more than
-    two distinct label values is rejected either way.
+    numerically equal to 0 or 1, in any spelling. With it, cells equal
+    to ``anomaly_value`` become anomalies and the rest normals. More
+    than two distinct labels (numbers without ``anomaly_value``, cells
+    with it) is rejected either way.
     """
     distinct = sorted(set(raw_labels))
+    if anomaly_value is None:
+        number = {}
+        for v in distinct:
+            try:
+                number[v] = float(v)
+            except ValueError:
+                raise _not_binary(v) from None
+        distinct = sorted(set(number.values()))
     if len(distinct) > 2:
         raise SchemaError(
             f"label column has {len(distinct)} distinct values {distinct[:5]}, "
@@ -187,30 +208,25 @@ def binary_labels(raw_labels: Sequence[str], anomaly_value: str | None = None) -
                 f"(found {distinct})"
             )
         return np.asarray([1 if v == anomaly_value else 0 for v in raw_labels])
-    mapped = {}
-    for v in distinct:
-        try:
-            num = float(v)
-        except ValueError:
-            raise SchemaError(
-                f"label value {v!r} is not 0/1; pass an explicit anomaly value"
-            ) from None
+    for v, num in number.items():
         if num not in (0.0, 1.0):
-            raise SchemaError(
-                f"label value {v!r} is not 0/1; pass an explicit anomaly value"
-            )
-        mapped[v] = int(num)
-    return np.asarray([mapped[v] for v in raw_labels])
+            raise _not_binary(v)
+    return np.asarray([int(number[v]) for v in raw_labels])
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a headered CSV; the one writer of dataset and scores files."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_csv(ds: LabeledDataset, path, label_column: str = "label") -> None:
     """Write a dataset as a headered CSV with the label in the last column."""
     names = ds.feature_names or [f"f{i + 1}" for i in range(ds.dim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_column])
-        for x, y in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+    rows = ([*map(repr, x.tolist()), y] for x, y in zip(ds.features, ds.labels.tolist()))
+    write_csv(path, [*names, label_column], rows)
 
 
 def stratified_split(

@@ -1,10 +1,11 @@
-"""Training loop and ensemble scoring.
+"""Training loop, ensemble scoring and scores files.
 
 Training repeats (sample stratified batch, objective + gradients,
 RMSprop step) for a fixed schedule. Scoring pairs each instance with
 randomly drawn partners from the anomaly pool A and the unlabeled pool
 U and averages the pair scores; the instance sits on the right of
-anomaly partners and on the left of unlabeled partners.
+anomaly partners and on the left of unlabeled partners. Scores files
+go through the one CSV reader and writer of :mod:`prenet.dataset`.
 
 Scoring is factored. The head is linear in the concatenated features,
 so a pair score is ``c_l(left) + c_r(right) + b`` with
@@ -25,7 +26,6 @@ to scoring each pair with :func:`prenet.model.forward`.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dataset import WeakSupervisionSplit
+from .dataset import WeakSupervisionSplit, load_feature_csv, write_csv
 from .errors import NumericError, SchemaError
 from .model import (
     Model,
@@ -252,52 +252,17 @@ def score_dataset(
 
 def write_scores_csv(path, scores: np.ndarray, true_labels: np.ndarray | None = None) -> None:
     """Write ``row_index,score[,true_label]`` with full float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if true_labels is None:
-            writer.writerow(["row_index", "score"])
-            for i, s in enumerate(scores):
-                writer.writerow([i, repr(float(s))])
-        else:
-            writer.writerow(["row_index", "score", "true_label"])
-            for i, (s, y) in enumerate(zip(scores, true_labels)):
-                writer.writerow([i, repr(float(s)), int(y)])
+    columns = [range(len(scores)), map(repr, np.asarray(scores, dtype=np.float64).tolist())]
+    if true_labels is not None:
+        columns.append(map(int, true_labels))
+    write_csv(path, ["row_index", "score", "true_label"][: len(columns)], zip(*columns))
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read a scores CSV by its header's ``score`` and optional
-    ``true_label`` columns; returns (scores, labels or None). Raises
-    :class:`SchemaError` for a header without ``score``, a file without
-    data rows, or a row without a finite score or with a true label other
-    than 0 or 1."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty scores file") from None
-        if "score" not in header:
-            raise SchemaError(f"{path}: scores header {header!r} has no 'score' column")
-        score_pos = header.index("score")
-        has_labels = "true_label" in header
-        label_pos = header.index("true_label") if has_labels else None
-        scores, labels = [], []
-        for row_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            try:
-                score = float(record[score_pos])
-                label = float(record[label_pos]) if has_labels else 0.0
-                ok = math.isfinite(score) and label in (0.0, 1.0)
-            except (IndexError, ValueError):
-                ok = False
-            if not ok:
-                raise SchemaError(
-                    f"{path}: malformed scores row {row_no} (a finite score and a "
-                    f"0/1 label expected): {record!r}"
-                )
-            scores.append(score)
-            labels.append(int(label))
-    if not scores:
-        raise SchemaError(f"{path}: no data rows")
-    return np.asarray(scores), (np.asarray(labels) if has_labels else None)
+    """Read a scores CSV by the dataset-CSV rules of :func:`load_feature_csv`,
+    ``true_label`` being the label column; returns (scores, labels or None).
+    Raises :class:`SchemaError` also for a header without ``score``."""
+    values, labels, names = load_feature_csv(path, "true_label")
+    if "score" not in names:
+        raise SchemaError(f"{path}: scores header has no 'score' column, only {names!r}")
+    return np.ascontiguousarray(values[:, names.index("score")]), labels

@@ -67,6 +67,11 @@ class TestTheory:
         assert main(["theory", "--eps", "0.1", "--labels", labels]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_numeric_labels_name_the_flag(self, capsys):
+        assert main(["theory", "--eps", "0.1", "--labels", "a,b,c"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--labels" in err, err
+
     def test_finite_labels_near_the_float_maximum(self, capsys):
         # each expected score is a weighted average of the targets
         assert main(["theory", "--eps", "0.1", "--labels", "1.7e308,1.6e308,0"]) == 0
@@ -590,6 +595,23 @@ def _eval_with_data(labels):
     return argv
 
 
+def _train_on(edit):
+    """Row: train on a copy of the labeled data whose lines ``edit`` rewrites."""
+
+    def argv(tmp_path, data, ckpt):
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join(edit(data.read_text().splitlines())) + "\n")
+        return ["train", "--data", str(edited), *FAST, "-o", str(tmp_path / "m.json")]
+
+    return argv
+
+
+def _zero_spelled_both_ways(lines):
+    """Every other normal's label written 0.0, so the labels read 0, 0.0 and 1."""
+    return [line + ".0" if i % 2 and line.endswith(",0") else line
+            for i, line in enumerate(lines)]
+
+
 def _experiment(*flags):
     """Row: an experiment on the data with FAST_EXPERIMENT and then ``flags``."""
 
@@ -604,8 +626,21 @@ def _no_run(*args, **kwargs):
     raise AssertionError("an experiment run started")
 
 
+# malformed flag values whose one error line names the flag
+FLAG_VALUE_ERRORS = [
+    # (case, flag, argv builder)
+    ("train_labels_not_a_number", "--labels",
+     lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "8,4,x",
+                                   "-o", str(tmp_path / "m.json")]),
+    ("experiment_hidden_dims_not_a_number", "--hidden-dims", _experiment("--hidden-dims", "x")),
+    ("sweep_rate_not_a_number", "--rates",
+     lambda tmp_path, data, ckpt: ["sweep", "--data", str(data), *FAST_EXPERIMENT,
+                                   "--rates", "0,x", "-o", str(tmp_path / "sw.json")]),
+]
+
 MALFORMED_INPUTS = [
     # (case, argv builder, expected exit code)
+    *((case, argv, 2) for case, _, argv in FLAG_VALUE_ERRORS),
     ("truncated_checkpoint", _score_with_checkpoint(lambda t: t[: len(t) // 2]), 3),
     ("checkpoint_missing_output_bias",
      _edit_document(lambda d: d["params"].pop("output_bias")), 3),
@@ -637,6 +672,10 @@ MALFORMED_INPUTS = [
     ("eval_only_normals", _eval_file("0,0.9,0\n1,0.1,0\n"), 3),
     ("eval_only_anomalies", _eval_file("0,0.9,1\n1,0.1,1\n"), 3),
     ("eval_data_only_normals", _eval_with_data([0, 0, 0]), 3),
+    # a scores file follows the dataset-CSV rules
+    ("eval_ragged_row", _eval_scores("2,0.5,0,7"), 3),
+    ("eval_row_index_not_a_number", _eval_scores("two,0.5,0"), 3),
+    ("train_no_feature_column", _train_on(lambda lines: [l.rsplit(",", 1)[1] for l in lines]), 3),
     ("jobs_zero", _experiment("--jobs", "0"), 2),
     ("train_labels_inf",
      lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "inf,4,0",
@@ -691,3 +730,32 @@ def test_malformed_input_exit_code(case, argv, expected, trained, tmp_path, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "run 0" not in err, err
     assert not Path(args[args.index("-o") + 1]).exists()
+
+
+@pytest.mark.parametrize(
+    "case,flag,argv", FLAG_VALUE_ERRORS, ids=[row[0] for row in FLAG_VALUE_ERRORS]
+)
+def test_bad_flag_value_names_the_flag(case, flag, argv, trained, tmp_path, capsys):
+    data, ckpt = trained
+    assert main(argv(tmp_path, data, ckpt)) == 2
+    assert flag in capsys.readouterr().err
+
+
+# awkward but valid inputs next to the malformed ones
+WELL_FORMED_INPUTS = [
+    # (case, argv builder)
+    ("train_labels_spelled_0_and_0.0", _train_on(_zero_spelled_both_ways)),
+    ("score_labels_spelled_0_and_0.0", _score_with_label("0.0")),
+    ("eval_labels_spelled_0_and_0.0", _eval_scores("2,0.5,0.0")),
+]
+
+
+@pytest.mark.parametrize(
+    "case,argv", WELL_FORMED_INPUTS, ids=[row[0] for row in WELL_FORMED_INPUTS]
+)
+def test_well_formed_input_exits_0(case, argv, trained, tmp_path, capsys):
+    data, ckpt = trained
+    args = argv(tmp_path, data, ckpt)
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert Path(args[args.index("-o") + 1]).exists()

@@ -1,6 +1,11 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import prenet
 from prenet.dataset import (
     LabeledDataset,
     WeakSupervisionSplit,
@@ -10,6 +15,7 @@ from prenet.dataset import (
     standardize_split,
     stratified_split,
 )
+from prenet.engine import read_scores_csv
 from prenet.errors import CapacityError, DataError, SchemaError
 from prenet.ndcore import make_rng
 
@@ -78,6 +84,15 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="distinct"):
             load_csv(path)
 
+    def test_label_spellings_of_one_class_are_one_class(self, tmp_path):
+        path = write(tmp_path, "f1,label\n1,0\n2,0.0\n3,1\n4,1.0\n")
+        assert list(load_csv(path).labels) == [0, 0, 1, 1]
+
+    def test_no_feature_column_rejected(self, tmp_path):
+        path = write(tmp_path, "label\n0\n1\n")
+        with pytest.raises(SchemaError, match="no feature column"):
+            load_csv(path)
+
     def test_missing_label_column(self, tmp_path):
         path = write(tmp_path, "f1,f2\n1,2\n")
         with pytest.raises(SchemaError, match="label"):
@@ -90,6 +105,79 @@ class TestLoadCsv:
         back = load_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+
+ROWS = [(1, 2.5, 1), (3, 4, 0)]
+# CSV text with two number columns {a} and {b} and the label column {y},
+# and what both readers make of it: ROWS as (a, b, label), or the error
+AWKWARD_CSV = [
+    ("plain", "{a},{b},{y}\n1,2.5,1\n3,4,0\n", ROWS),
+    ("quoted_cells", '"{a}",{b},"{y}"\n"1",2.5,"1"\n3,"4",0\n', ROWS),
+    ("crlf", "{a},{b},{y}\r\n1,2.5,1\r\n3,4,0\r\n", ROWS),
+    ("no_final_newline", "{a},{b},{y}\n1,2.5,1\n3,4,0", ROWS),
+    ("blank_lines", "{a},{b},{y}\n\n1,2.5,1\n   \n\t\n3,4,0\n\n", ROWS),
+    ("padded_cells", " {a} ,\t{b},{y} \n 1 ,2.5 , 1\n3,  4,0 \n", ROWS),
+    ("label_first", "{y},{a},{b}\n1,1,2.5\n0,3,4\n", ROWS),
+    ("label_middle", "{a},{y},{b}\n1,1,2.5\n3,0,4\n", ROWS),
+    ("short_row", "{a},{b},{y}\n1,2.5,1\n3,4\n", "row 3 has 2 cells, header has 3"),
+    ("long_row", "{a},{b},{y}\n1,2.5,1,7\n3,4,0\n", "row 2 has 4 cells, header has 3"),
+    ("quoted_comma", '{a},{b},{y}\n"1,5",2.5,1\n',
+     "non-numeric value '1,5' at row 2, column '{a}'"),
+    ("non_numeric", "{a},{b},{y}\n1,2.5,1\n3, x ,0\n",
+     "non-numeric value 'x' at row 3, column '{b}'"),
+    ("nan", "{a},{b},{y}\n1,nan,1\n3,4,0\n", "non-finite value nan in data row 1, column '{b}'"),
+    ("inf", "{a},{b},{y}\n1,2.5,1\n-inf,4,0\n",
+     "non-finite value -inf in data row 2, column '{a}'"),
+]
+
+
+def _read_dataset(path):
+    ds = load_csv(path)
+    return ds.features.tolist(), ds.labels.tolist()
+
+
+def _read_scores(path):
+    scores, labels = read_scores_csv(path)
+    return scores.tolist(), labels.tolist()
+
+
+# each reader with its names for {a}, {b} and {y}, and its result for rows (a, b, label)
+READERS = {
+    "dataset": (_read_dataset, dict(a="f1", b="f2", y="label"),
+                lambda rows: ([[a, b] for a, b, _ in rows], [y for *_, y in rows])),
+    "scores": (_read_scores, dict(a="row_index", b="score", y="true_label"),
+               lambda rows: ([b for _, b, _ in rows], [y for *_, y in rows])),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("text, result", [row[1:] for row in AWKWARD_CSV],
+                         ids=[row[0] for row in AWKWARD_CSV])
+def test_both_readers_share_the_csv_rules(reader, text, result, tmp_path):
+    read, names, expect = READERS[reader]
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.format(**names).encode())
+    if isinstance(result, str):
+        with pytest.raises(SchemaError, match=re.escape(result.format(**names))):
+            read(path)
+    else:
+        assert read(path) == expect(result)
+
+
+def _imported_modules(path):
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+def test_dataset_is_the_one_module_that_imports_csv():
+    package = Path(prenet.__file__).parent
+    importers = [p.name for p in sorted(package.glob("*.py")) if "csv" in _imported_modules(p)]
+    assert importers == ["dataset.py"]
 
 
 class TestLabeledDataset:
