@@ -14,8 +14,11 @@ from .dataset import (
     stratified_split,
 )
 from .engine import (
+    Scorer,
     TrainConfig,
     TrainReport,
+    load_checkpoint,
+    save_checkpoint,
     score_dataset,
     train,
 )
@@ -42,9 +45,7 @@ from .model import (
     VARIANTS,
     build_variant,
     forward,
-    load_checkpoint,
     rmsprop_step,
-    save_checkpoint,
 )
 from .ndcore import finite_diff_grad, glorot_uniform, make_rng, matmul, relu
 from .pairgen import (

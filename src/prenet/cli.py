@@ -19,25 +19,25 @@ from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .dataset import apply_standardization, load_csv, load_feature_csv, save_csv
-from .engine import read_scores_csv, score_rows, train, write_scores_csv
+from .dataset import load_csv, load_feature_csv, save_csv
+from .engine import load_checkpoint, read_scores_csv, save_checkpoint, write_scores_csv
+from .engine import train  # noqa: F401  unused; bench/tests/test_bench.py traces this binding
 from .errors import DataError, NumericError, SchemaError
 from .harness import (
     ExperimentSpec,
     SyntheticSpec,
-    build_world,
     experiment_report_json,
+    fit,
     generate_synthetic,
     grid_report_json,
     load_source,
     parse_spec_file,
     run_experiment,
     run_grid,
-    train_config_for,
     train_report_json,
 )
 from .metrics import evaluate
-from .model import VARIANTS, load_checkpoint, save_checkpoint
+from .model import VARIANTS
 from .ndcore import make_rng
 from .pairgen import (
     OrdinalLabels,
@@ -165,18 +165,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
     ds = load_source(spec)
-    seed = spec.base_seed
-    rng = make_rng(seed)
-    split, mean, scale = build_world(ds, spec, seed, rng)
-    model, report = train(split, train_config_for(spec, ds.dim, seed), rng=rng)
-    save_checkpoint(
-        args.output,
-        model,
-        mean=mean,
-        scale=scale,
-        anomaly_pool=split.a_features,
-        unlabeled_pool=split.u_features,
-    )
+    scorer, report = fit(ds, spec, spec.base_seed, make_rng(spec.base_seed))
+    save_checkpoint(args.output, scorer)
     _write_json(args.report or f"{args.output}.train.json", train_report_json(report))
     means = report.epoch_means()
     print(
@@ -187,19 +177,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model, extras = load_checkpoint(args.checkpoint)
+    scorer = load_checkpoint(args.checkpoint)
     features, labels, _ = load_feature_csv(args.data, args.label_column, args.anomaly_value)
-    if features.shape[1] != model.config.input_dim:
+    input_dim = scorer.model.config.input_dim
+    if features.shape[1] != input_dim:
         raise DataError(
-            f"{args.data} has {features.shape[1]} features, checkpoint expects "
-            f"{model.config.input_dim}"
+            f"{args.data} has {features.shape[1]} features, checkpoint expects {input_dim}"
         )
-    if extras["mean"] is not None:
-        features = apply_standardization(features, extras["mean"], extras["scale"])
-    a_pool, u_pool = extras["anomaly_pool"], extras["unlabeled_pool"]
-    if model.config.is_pairwise and a_pool is None:
-        raise DataError(f"{args.checkpoint} carries no partner pools; cannot score pairs")
-    scores = score_rows(model, features, a_pool, u_pool, args.ensemble_size, make_rng(args.seed))
+    scores = scorer.score(features, args.ensemble_size, make_rng(args.seed))
     write_scores_csv(args.output, scores, labels)
     print(f"scored {features.shape[0]} rows -> {args.output}")
     return 0

@@ -1,7 +1,6 @@
 """The one CSV reader and writer, for dataset and scores files, and
 the construction of the weak-supervision world: a small labeled anomaly
-pool A, a large contaminated unlabeled pool U, and an untouched test
-split.
+pool A and a large contaminated unlabeled pool U.
 """
 
 from __future__ import annotations
@@ -66,9 +65,11 @@ class WeakSupervisionSplit:
     are the unlabeled pool U and the rest the labeled anomaly pool A, so
     the two pools are disjoint by construction and both are nonempty.
     ``true_labels`` keeps the ground truth of every store row for
-    diagnostics only; training must not consult it. Test data rides
-    along so a single object describes one experimental world, but
-    training reads only the store and the boundary.
+    diagnostics only; training must not consult it. ``seed`` and the
+    test fields (``build_weak_supervision``'s ``seed=``/``test=``) remain
+    only for the benchmark's scoring set-up; no other module of the
+    package names the test fields, so training and scoring never read
+    test data off a split.
     """
 
     features: np.ndarray
@@ -113,7 +114,7 @@ def load_feature_csv(
     feature_names)``, the labels mapped by :func:`binary_labels`.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -162,6 +163,16 @@ def load_feature_csv(
         )
     labels = None if label_pos is None else binary_labels(raw_labels, anomaly_value)
     return features, labels, feature_names
+
+
+def _records(fh, path):
+    """The CSV records of ``fh``; a record the csv module rejects (say, a
+    quoted field past its size limit) is a :class:`SchemaError`."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: {exc} at line {reader.line_num}") from None
 
 
 def load_csv(

@@ -1,11 +1,13 @@
-"""Training loop, ensemble scoring and scores files.
+"""Training loop, ensemble scoring, the checkpoint container and
+scores files.
 
 Training repeats (sample stratified batch, objective + gradients,
-RMSprop step) for a fixed schedule. Scoring pairs each instance with
-randomly drawn partners from the anomaly pool A and the unlabeled pool
-U and averages the pair scores; the instance sits on the right of
-anomaly partners and on the left of unlabeled partners. Scores files
-go through the one CSV reader and writer of :mod:`prenet.dataset`.
+RMSprop step) for a fixed schedule. A :class:`Scorer` pairs each
+instance with randomly drawn partners from the anomaly pool A and the
+unlabeled pool U and averages the pair scores; the instance sits on the
+right of anomaly partners and on the left of unlabeled partners. A
+checkpoint file is one saved :class:`Scorer`. Scores files go through
+the one CSV reader and writer of :mod:`prenet.dataset`.
 
 Scoring is factored. The head is linear in the concatenated features,
 so a pair score is ``c_l(left) + c_r(right) + b`` with
@@ -26,6 +28,8 @@ to scoring each pair with :func:`prenet.model.forward`.
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -33,8 +37,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dataset import WeakSupervisionSplit, load_feature_csv, write_csv
-from .errors import NumericError, SchemaError
+from .dataset import WeakSupervisionSplit, apply_standardization, load_feature_csv, write_csv
+from .errors import CheckpointError, NumericError, SchemaError
 from .model import (
     Model,
     ModelConfig,
@@ -48,7 +52,7 @@ from .model import (
     rmsprop_step,
 )
 from .ndcore import make_rng, matmul
-from .pairgen import sample_instance_batch, sample_pair_batch
+from .pairgen import OrdinalLabels, sample_instance_batch, sample_pair_batch
 
 
 @dataclass
@@ -213,30 +217,41 @@ def score_with_partners(
     return scores
 
 
-def score_rows(
-    model: Model,
-    x: np.ndarray,
-    anomaly_pool: np.ndarray,
-    unlabeled_pool: np.ndarray,
-    ensemble_size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Ensemble score per row of ``x``, with ``ensemble_size`` partners
-    per side drawn from the anomaly and unlabeled pools.
+@dataclass(frozen=True, eq=False)
+class Scorer:
+    """A trained model with all that scoring new rows needs, and what a
+    checkpoint holds: the A and U partner pools (standardized, if the
+    model is) and the standardization map for raw rows, if any. The
+    arrays are shared, not copied, and the pools are not scanned (the
+    checkpoint loader checks them). A pairwise model needs both pools;
+    the one-stream variant reads neither."""
 
-    The one-stream variant evaluates each instance directly (its score
-    is the mean of identical single-instance evaluations, so no partner
-    randomness is consumed and the pools are not read).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if ensemble_size < 1:
-        raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    if not model.config.is_pairwise:
-        return forward(model, x, [np.arange(len(x))])[0]
-    a_pos, u_pos = draw_partner_indices(
-        len(anomaly_pool), len(unlabeled_pool), x.shape[0], ensemble_size, rng
-    )
-    return score_with_partners(model, x, anomaly_pool, unlabeled_pool, a_pos, u_pos)
+    model: Model
+    anomaly_pool: np.ndarray | None = None
+    unlabeled_pool: np.ndarray | None = None
+    mean: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+    def __post_init__(self):
+        cfg = self.model.config
+        if cfg.is_pairwise and (self.anomaly_pool is None or self.unlabeled_pool is None):
+            raise ValueError(f"variant {cfg.variant!r} scores pairs and needs both partner pools")
+
+    def score(self, x: np.ndarray, ensemble_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Ensemble score per row of ``x``, standardized first if the scorer
+        has a map, with ``ensemble_size`` partners per side drawn from the
+        pools. The one-stream variant scores each row directly (the mean of
+        identical evaluations), so it draws nothing and reads no pool."""
+        if ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if self.mean is not None:
+            x = apply_standardization(x, self.mean, self.scale)
+        if not self.model.config.is_pairwise:
+            return forward(self.model, x, [np.arange(len(x))])[0]
+        pools = self.anomaly_pool, self.unlabeled_pool
+        a_pos, u_pos = draw_partner_indices(*map(len, pools), len(x), ensemble_size, rng)
+        return score_with_partners(self.model, x, *pools, a_pos, u_pos)
 
 
 def score_dataset(
@@ -246,8 +261,8 @@ def score_dataset(
     ensemble_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """:func:`score_rows` with partners from the split's A and U."""
-    return score_rows(model, x, split.a_features, split.u_features, ensemble_size, rng)
+    """:meth:`Scorer.score` with the split's A and U and no standardization map."""
+    return Scorer(model, split.a_features, split.u_features).score(x, ensemble_size, rng)
 
 
 def write_scores_csv(path, scores: np.ndarray, true_labels: np.ndarray | None = None) -> None:
@@ -266,3 +281,143 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     if "score" not in names:
         raise SchemaError(f"{path}: scores header has no 'score' column, only {names!r}")
     return np.ascontiguousarray(values[:, names.index("score")]), labels
+
+
+# -- checkpoint container ---------------------------------------------------
+
+_CHECKPOINT_FORMAT = "prenet-checkpoint"
+_CHECKPOINT_VERSION = 1
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {
+        "shape": list(a.shape),
+        "dtype": "<f8",
+        "data": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(d: dict) -> np.ndarray:
+    raw = np.frombuffer(base64.b64decode(d["data"]), dtype=d["dtype"])
+    return raw.reshape(d["shape"]).astype(np.float64)
+
+
+def _encode_arrays(**arrays) -> dict | None:
+    """The named arrays encoded, or None for a scorer that has none."""
+    if next(iter(arrays.values())) is None:
+        return None
+    return {name: _encode_array(a) for name, a in arrays.items()}
+
+
+def save_checkpoint(path, scorer: Scorer) -> None:
+    """Write a scorer as a self-describing JSON checkpoint.
+
+    Arrays are stored as base64-encoded little-endian float64 bytes, so
+    save -> load round-trips bit-exactly and repeated saves of the same
+    scorer are byte-identical. The standardization map and the A/U
+    pools are embedded when the scorer has them, so a checkpoint alone
+    suffices to score new data.
+    """
+    cfg, params = scorer.model.config, scorer.model.params
+    doc = {
+        "format": _CHECKPOINT_FORMAT,
+        "version": _CHECKPOINT_VERSION,
+        "variant": cfg.variant,
+        "input_dim": cfg.input_dim,
+        "hidden_dims": list(cfg.hidden_dims),
+        "l2_lambda": cfg.l2_lambda,
+        "labels": [cfg.labels.aa, cfg.labels.au, cfg.labels.uu],
+        "standardization": _encode_arrays(mean=scorer.mean, scale=scorer.scale),
+        "pools": _encode_arrays(anomaly=scorer.anomaly_pool, unlabeled=scorer.unlabeled_pool),
+        "params": {
+            "hidden_weights": [_encode_array(w) for w in params.hidden_weights],
+            "hidden_biases": [_encode_array(b) for b in params.hidden_biases],
+            "output_weights": _encode_array(params.output_weights),
+            "output_bias": params.output_bias,
+        },
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def load_checkpoint(path) -> Scorer:
+    """Read a checkpoint back into the :class:`Scorer` it was saved from.
+
+    Raises :class:`CheckpointError` for a file that is not valid JSON,
+    lacks an entry, has another format or version, holds non-finite
+    parameters, an empty or non-finite pool, or a non-finite mean or a
+    non-finite or non-positive scale, holds arrays whose shapes
+    disagree with ``input_dim``/``hidden_dims``, or holds a pairwise
+    variant without pools.
+    """
+    with open(path) as fh:
+        try:
+            return _from_document(json.load(fh))
+        except KeyError as exc:
+            detail = f"no {exc} entry"
+        except (TypeError, ValueError) as exc:
+            detail = str(exc)
+    raise CheckpointError(f"{path}: malformed checkpoint: {detail}")
+
+
+def _expect_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if a.shape != shape:
+        raise CheckpointError(f"{name} has shape {a.shape}, the config implies {shape}")
+    return a
+
+
+def _from_document(doc) -> Scorer:
+    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {_CHECKPOINT_FORMAT} file")
+    if doc.get("version") != _CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported version {doc.get('version')!r}, expected {_CHECKPOINT_VERSION}"
+        )
+    cfg = ModelConfig(
+        variant=doc["variant"],
+        input_dim=doc["input_dim"],
+        hidden_dims=tuple(doc["hidden_dims"]),
+        l2_lambda=doc["l2_lambda"],
+        labels=OrdinalLabels(*doc["labels"]),
+    )
+    dims = (cfg.input_dim, *cfg.hidden_dims)
+    pd = doc["params"]
+    n_layers = len(cfg.hidden_dims)
+    if len(pd["hidden_weights"]) != n_layers or len(pd["hidden_biases"]) != n_layers:
+        raise CheckpointError(f"layer count differs from hidden_dims {cfg.hidden_dims}")
+    params = PReNetParams(
+        [
+            _expect_shape(f"hidden weight {i}", _decode_array(w), (dims[i], dims[i + 1]))
+            for i, w in enumerate(pd["hidden_weights"])
+        ],
+        [
+            _expect_shape(f"hidden bias {i}", _decode_array(b), (dims[i + 1],))
+            for i, b in enumerate(pd["hidden_biases"])
+        ],
+        _expect_shape("output weights", _decode_array(pd["output_weights"]), (cfg.head_dim,)),
+        float(pd["output_bias"]),
+    )
+    if not np.isfinite(params.vector).all():
+        raise CheckpointError("parameters contain NaN or Inf")
+    mean = scale = None
+    if doc.get("standardization"):
+        mean, scale = (
+            _expect_shape(
+                f"standardization {key}",
+                _decode_array(doc["standardization"][key]),
+                (cfg.input_dim,),
+            )
+            for key in ("mean", "scale")
+        )
+        if not (np.isfinite(mean).all() and np.isfinite(scale).all() and (scale > 0).all()):
+            raise CheckpointError("standardization needs a finite mean and a finite scale > 0")
+    pools = [None, None]
+    if doc.get("pools"):
+        for i, key in enumerate(("anomaly", "unlabeled")):
+            pool = _decode_array(doc["pools"][key])
+            pools[i] = _expect_shape(f"{key} pool", pool, (len(pool), cfg.input_dim))
+            if len(pool) == 0 or not np.isfinite(pool).all():
+                raise CheckpointError(f"{key} pool is empty or holds NaN or Inf")
+    return Scorer(Model(cfg, params), *pools, mean, scale)

@@ -1,22 +1,22 @@
 """Synthetic fixtures and multi-run experiment orchestration.
 
-One run: stratified 80/20 split -> weak-supervision world -> optional
-standardization -> train -> score test set -> metrics. Run i of an
-experiment uses seed ``base_seed + i``, so any run is reproducible in
-isolation; the split construction consumes the seeded generator first,
-so every variant sees identical worlds under shared seeds. A grid
-(:func:`run_grid`) repeats one experiment per value of one spec field:
-the ablation over ``variant``, the sweep over ``contamination``, the
-data-efficiency curve over ``n_labeled``. ``prenet train`` builds its
-world and training config with the same functions, :func:`build_world`
-and :func:`train_config_for`, on the whole file.
+One run: stratified 80/20 split -> :func:`fit` on the train side
+(weak-supervision world -> optional standardization -> train -> a
+:class:`~prenet.engine.Scorer`) -> score the test side -> metrics. Run
+i of an experiment uses seed ``base_seed + i``, so any run is
+reproducible in isolation; the split construction consumes the seeded
+generator first, so every variant sees identical worlds under shared
+seeds. A grid (:func:`run_grid`) repeats one experiment per value of
+one spec field: the ablation over ``variant``, the sweep over
+``contamination``, the data-efficiency curve over ``n_labeled``.
+``prenet train`` is the same :func:`fit` on the whole file.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -25,13 +25,12 @@ import numpy as np
 
 from .dataset import (
     LabeledDataset,
-    WeakSupervisionSplit,
     build_weak_supervision,
     load_csv,
     standardize_split,
     stratified_split,
 )
-from .engine import TrainConfig, TrainReport, score_dataset, train
+from .engine import Scorer, TrainConfig, TrainReport, train
 from .metrics import AggregateReport, MetricsReport, aggregate_runs, evaluate
 from .model import VARIANTS, Model, ModelConfig
 from .ndcore import make_rng
@@ -122,13 +121,14 @@ def load_source(spec: ExperimentSpec) -> LabeledDataset:
 
 @dataclass
 class RunOutput:
-    """Full artifacts of one run, for inspection beyond the metrics."""
+    """Full artifacts of one run, for inspection beyond the metrics;
+    ``scores`` and ``labels`` are per test row."""
 
     metrics: MetricsReport
     train_report: TrainReport
     model: Model
     scores: np.ndarray
-    test_labels: np.ndarray
+    labels: np.ndarray
 
 
 def train_config_for(spec: ExperimentSpec, input_dim: int, seed: int) -> TrainConfig:
@@ -149,33 +149,30 @@ def train_config_for(spec: ExperimentSpec, input_dim: int, seed: int) -> TrainCo
     )
 
 
-def build_world(
-    train_ds: LabeledDataset,
-    spec: ExperimentSpec,
-    seed: int,
-    rng: np.random.Generator,
-    test: LabeledDataset | None = None,
-) -> tuple[WeakSupervisionSplit, np.ndarray | None, np.ndarray | None]:
-    """The weak-supervision world of one run, z-scored by its training
-    statistics when ``spec.standardize`` is set: ``(split, mean, scale)``,
-    with mean and scale None when it is not."""
-    split = build_weak_supervision(
-        train_ds, spec.n_labeled, spec.contamination, rng, test=test, seed=seed
-    )
-    if not spec.standardize:
-        return split, None, None
-    return standardize_split(split)
+def fit(
+    train_ds: LabeledDataset, spec: ExperimentSpec, seed: int, rng: np.random.Generator
+) -> tuple[Scorer, TrainReport]:
+    """Build the weak-supervision world of ``train_ds``, z-score it by its
+    own statistics when ``spec.standardize`` is set, train on it, and
+    return the trained model as a :class:`Scorer` with the world's A and
+    U pools and the standardization map."""
+    split = build_weak_supervision(train_ds, spec.n_labeled, spec.contamination, rng)
+    mean = scale = None
+    if spec.standardize:
+        split, mean, scale = standardize_split(split)
+    model, report = train(split, train_config_for(spec, train_ds.dim, seed), rng=rng)
+    return Scorer(model, split.a_features, split.u_features, mean, scale), report
 
 
 def run_single(ds: LabeledDataset, spec: ExperimentSpec, seed: int) -> RunOutput:
-    """One end-to-end run with a single run-owned generator."""
+    """One end-to-end run with a single run-owned generator; the test
+    rows go to the scorer only."""
     rng = make_rng(seed)
     train_ds, test_ds = stratified_split(ds, spec.train_fraction, rng)
-    split, _, _ = build_world(train_ds, spec, seed, rng, test=test_ds)
-    model, report = train(split, train_config_for(spec, ds.dim, seed), rng=rng)
-    scores = score_dataset(model, split.test_features, split, spec.ensemble_size, rng)
-    metrics = evaluate(scores, split.test_labels, seed=seed)
-    return RunOutput(metrics, report, model, scores, split.test_labels)
+    scorer, report = fit(train_ds, spec, seed, rng)
+    scores = scorer.score(test_ds.features, spec.ensemble_size, rng)
+    metrics = evaluate(scores, test_ds.labels, seed=seed)
+    return RunOutput(metrics, report, scorer.model, scores, test_ds.labels)
 
 
 def _run_metrics(ds: LabeledDataset, spec: ExperimentSpec, seed: int) -> MetricsReport:
@@ -222,14 +219,8 @@ def run_grid(
 
 
 def train_report_json(report: TrainReport) -> dict:
-    """Machine-readable training report."""
-    return {
-        "seed": report.seed,
-        "n_epochs": report.n_epochs,
-        "n_batches_per_epoch": report.n_batches_per_epoch,
-        "objective_trace": report.objective_trace,
-        "wall_seconds": report.wall_seconds,
-    }
+    """Machine-readable training report: every field of the report."""
+    return asdict(report)
 
 
 def experiment_report_json(

@@ -18,18 +18,17 @@ Gradients are exact analytic subgradients of the batch objective
 over the rows in the order :func:`objective_and_gradients` defines.
 Parameters, gradients and the RMSprop accumulator are each one
 contiguous vector with per-layer views, and RMSprop is one elementwise
-rule over it, the output bias included.
+rule over it, the output bias included. A trained model is saved and
+scored as part of a :class:`prenet.engine.Scorer`.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, NumericError
+from .errors import NumericError
 from .ndcore import glorot_uniform, matmul, relu
 from .pairgen import Batch, OrdinalLabels
 
@@ -328,147 +327,3 @@ def rmsprop_step(
     acc += (1.0 - RMSPROP_RHO) * g * g
     params.vector -= state.learning_rate * g / (np.sqrt(acc) + RMSPROP_EPS)
 
-
-# -- checkpoint container ---------------------------------------------------
-
-_CHECKPOINT_FORMAT = "prenet-checkpoint"
-_CHECKPOINT_VERSION = 1
-
-
-def _encode_array(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {
-        "shape": list(a.shape),
-        "dtype": "<f8",
-        "data": base64.b64encode(a.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(d: dict) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(d["data"]), dtype=d["dtype"])
-    return raw.reshape(d["shape"]).astype(np.float64)
-
-
-def save_checkpoint(
-    path,
-    model: Model,
-    mean: np.ndarray | None = None,
-    scale: np.ndarray | None = None,
-    anomaly_pool: np.ndarray | None = None,
-    unlabeled_pool: np.ndarray | None = None,
-) -> None:
-    """Write a self-describing JSON checkpoint.
-
-    Arrays are stored as base64-encoded little-endian float64 bytes, so
-    save -> load round-trips bit-exactly and repeated saves of the same
-    model are byte-identical. Standardization statistics and the A/U
-    partner pools may be embedded so a checkpoint alone suffices to
-    score new data.
-    """
-    cfg = model.config
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "variant": cfg.variant,
-        "input_dim": cfg.input_dim,
-        "hidden_dims": list(cfg.hidden_dims),
-        "l2_lambda": cfg.l2_lambda,
-        "labels": [cfg.labels.aa, cfg.labels.au, cfg.labels.uu],
-        "standardization": None
-        if mean is None
-        else {"mean": _encode_array(mean), "scale": _encode_array(scale)},
-        "pools": None
-        if anomaly_pool is None
-        else {
-            "anomaly": _encode_array(anomaly_pool),
-            "unlabeled": _encode_array(unlabeled_pool),
-        },
-        "params": {
-            "hidden_weights": [_encode_array(w) for w in model.params.hidden_weights],
-            "hidden_biases": [_encode_array(b) for b in model.params.hidden_biases],
-            "output_weights": _encode_array(model.params.output_weights),
-            "output_bias": model.params.output_bias,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> tuple[Model, dict]:
-    """Read a checkpoint; returns the model plus an extras dict with
-    ``mean``/``scale`` and ``anomaly_pool``/``unlabeled_pool`` when present.
-
-    Raises :class:`CheckpointError` for a file that is not valid JSON,
-    lacks an entry, has another format or version, holds non-finite
-    parameters, an empty or non-finite pool, or a non-finite mean or a
-    non-finite or non-positive scale, or holds arrays whose shapes
-    disagree with ``input_dim``/``hidden_dims``.
-    """
-    with open(path) as fh:
-        try:
-            return _from_document(json.load(fh))
-        except KeyError as exc:
-            detail = f"no {exc} entry"
-        except (TypeError, ValueError) as exc:
-            detail = str(exc)
-    raise CheckpointError(f"{path}: malformed checkpoint: {detail}")
-
-
-def _expect_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if a.shape != shape:
-        raise CheckpointError(f"{name} has shape {a.shape}, the config implies {shape}")
-    return a
-
-
-def _from_document(doc) -> tuple[Model, dict]:
-    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
-        raise CheckpointError(f"not a {_CHECKPOINT_FORMAT} file")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported version {doc.get('version')!r}, expected {_CHECKPOINT_VERSION}"
-        )
-    cfg = ModelConfig(
-        variant=doc["variant"],
-        input_dim=doc["input_dim"],
-        hidden_dims=tuple(doc["hidden_dims"]),
-        l2_lambda=doc["l2_lambda"],
-        labels=OrdinalLabels(*doc["labels"]),
-    )
-    dims = (cfg.input_dim, *cfg.hidden_dims)
-    pd = doc["params"]
-    n_layers = len(cfg.hidden_dims)
-    if len(pd["hidden_weights"]) != n_layers or len(pd["hidden_biases"]) != n_layers:
-        raise CheckpointError(f"layer count differs from hidden_dims {cfg.hidden_dims}")
-    params = PReNetParams(
-        [
-            _expect_shape(f"hidden weight {i}", _decode_array(w), (dims[i], dims[i + 1]))
-            for i, w in enumerate(pd["hidden_weights"])
-        ],
-        [
-            _expect_shape(f"hidden bias {i}", _decode_array(b), (dims[i + 1],))
-            for i, b in enumerate(pd["hidden_biases"])
-        ],
-        _expect_shape("output weights", _decode_array(pd["output_weights"]), (cfg.head_dim,)),
-        float(pd["output_bias"]),
-    )
-    if not np.isfinite(params.vector).all():
-        raise CheckpointError("parameters contain NaN or Inf")
-    extras: dict = {"mean": None, "scale": None, "anomaly_pool": None, "unlabeled_pool": None}
-    if doc.get("standardization"):
-        for key in ("mean", "scale"):
-            extras[key] = _expect_shape(
-                f"standardization {key}",
-                _decode_array(doc["standardization"][key]),
-                (cfg.input_dim,),
-            )
-        mean, scale = extras["mean"], extras["scale"]
-        if not (np.isfinite(mean).all() and np.isfinite(scale).all() and (scale > 0).all()):
-            raise CheckpointError("standardization needs a finite mean and a finite scale > 0")
-    if doc.get("pools"):
-        for key, name in (("anomaly", "anomaly_pool"), ("unlabeled", "unlabeled_pool")):
-            pool = _decode_array(doc["pools"][key])
-            extras[name] = _expect_shape(f"{key} pool", pool, (len(pool), cfg.input_dim))
-            if len(pool) == 0 or not np.isfinite(pool).all():
-                raise CheckpointError(f"{key} pool is empty or holds NaN or Inf")
-    return Model(cfg, params), extras

@@ -243,8 +243,8 @@ class TestCriterion5SyntheticEndToEnd:
             rocs.append(out.metrics.auc_roc)
             prs.append(out.metrics.auc_pr)
             gaps.append(
-                out.scores[out.test_labels == 1].mean()
-                - out.scores[out.test_labels == 0].mean()
+                out.scores[out.labels == 1].mean()
+                - out.scores[out.labels == 0].mean()
             )
         ok = (
             np.mean(rocs) >= 0.95

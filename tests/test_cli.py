@@ -12,8 +12,7 @@ import pytest
 import prenet
 from prenet import harness
 from prenet.cli import _spec_from_args, build_parser, main
-from prenet.engine import read_scores_csv
-from prenet.model import load_checkpoint
+from prenet.engine import load_checkpoint, read_scores_csv, save_checkpoint
 
 # training flags, which every training command takes
 FAST = [
@@ -102,10 +101,13 @@ class TestTrainScoreEval:
             "train", "--data", str(data), *FAST,
             "-o", str(ckpt), "--report", str(report),
         ]) == 0
-        model, extras = load_checkpoint(ckpt)
-        assert model.config.variant == "prenet"
-        assert extras["anomaly_pool"].shape[0] == 8
-        assert extras["mean"] is not None
+        scorer = load_checkpoint(ckpt)
+        assert scorer.model.config.variant == "prenet"
+        assert scorer.anomaly_pool.shape[0] == 8
+        assert scorer.mean is not None and scorer.scale is not None
+        # the loaded scorer saves back to the same bytes
+        save_checkpoint(tmp_path / "again.json", scorer)
+        assert (tmp_path / "again.json").read_bytes() == ckpt.read_bytes()
         doc = json.loads(report.read_text())
         assert len(doc["objective_trace"]) == 4
 
@@ -606,6 +608,20 @@ def _train_on(edit):
     return argv
 
 
+# a quoted field past the csv module's 131 072-character limit, unterminated
+OVERLONG_FIELD = '"' + "1" * 140_000
+
+
+def _score_osnet_without_pools(tmp_path, data, ckpt):
+    """Row: score with an osnet checkpoint whose pools are null; osnet reads none."""
+    osnet = tmp_path / "osnet.json"
+    assert main(["train", "--data", str(data), "--variant", "osnet", *FAST,
+                 "-o", str(osnet)]) == 0
+    osnet.write_text(json.dumps({**json.loads(osnet.read_text()), "pools": None}))
+    return ["score", "--checkpoint", str(osnet), "--data", str(data),
+            "-o", str(tmp_path / "s.csv")]
+
+
 def _zero_spelled_both_ways(lines):
     """Every other normal's label written 0.0, so the labels read 0, 0.0 and 1."""
     return [line + ".0" if i % 2 and line.endswith(",0") else line
@@ -661,6 +677,7 @@ MALFORMED_INPUTS = [
     ("checkpoint_inf_mean",
      _edit_array("standardization", "mean", _first_entry(np.inf)), 3),
     ("checkpoint_nan_l2", _edit_document(lambda d: d.update(l2_lambda=float("nan"))), 3),
+    ("checkpoint_pair_variant_without_pools", _edit_document(lambda d: d.update(pools=None)), 3),
     ("unlabeled_nan_feature", _score_unlabeled("nan"), 3),
     ("unlabeled_inf_feature", _score_unlabeled("-inf"), 3),
     ("label_value_2", _score_with_label("2"), 3),
@@ -676,6 +693,8 @@ MALFORMED_INPUTS = [
     ("eval_ragged_row", _eval_scores("2,0.5,0,7"), 3),
     ("eval_row_index_not_a_number", _eval_scores("two,0.5,0"), 3),
     ("train_no_feature_column", _train_on(lambda lines: [l.rsplit(",", 1)[1] for l in lines]), 3),
+    ("train_overlong_quoted_field", _train_on(lambda lines: [*lines[:5], OVERLONG_FIELD]), 3),
+    ("eval_overlong_quoted_field", _eval_scores(OVERLONG_FIELD), 3),
     ("jobs_zero", _experiment("--jobs", "0"), 2),
     ("train_labels_inf",
      lambda tmp_path, data, ckpt: ["train", "--data", str(data), *FAST, "--labels", "inf,4,0",
@@ -747,6 +766,7 @@ WELL_FORMED_INPUTS = [
     ("train_labels_spelled_0_and_0.0", _train_on(_zero_spelled_both_ways)),
     ("score_labels_spelled_0_and_0.0", _score_with_label("0.0")),
     ("eval_labels_spelled_0_and_0.0", _eval_scores("2,0.5,0.0")),
+    ("score_osnet_checkpoint_without_pools", _score_osnet_without_pools),
 ]
 
 

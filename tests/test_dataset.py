@@ -128,6 +128,8 @@ AWKWARD_CSV = [
     ("nan", "{a},{b},{y}\n1,nan,1\n3,4,0\n", "non-finite value nan in data row 1, column '{b}'"),
     ("inf", "{a},{b},{y}\n1,2.5,1\n-inf,4,0\n",
      "non-finite value -inf in data row 2, column '{a}'"),
+    ("overlong_quoted_field", '{a},{b},{y}\n1,2.5,1\n"' + "3" * 140_000 + '",4,0\n',
+     "field larger than field limit (131072) at line 3"),
 ]
 
 
@@ -178,6 +180,15 @@ def test_dataset_is_the_one_module_that_imports_csv():
     package = Path(prenet.__file__).parent
     importers = [p.name for p in sorted(package.glob("*.py")) if "csv" in _imported_modules(p)]
     assert importers == ["dataset.py"]
+
+
+def test_dataset_is_the_one_module_that_names_the_test_fields():
+    # the split's test fields exist only for the benchmark set-up, so no
+    # training or scoring code can read test data off a split
+    package = Path(prenet.__file__).parent
+    namers = [p.name for p in sorted(package.glob("*.py"))
+              if "test_features" in p.read_text() or "test_labels" in p.read_text()]
+    assert namers == ["dataset.py"]
 
 
 class TestLabeledDataset:

@@ -6,9 +6,12 @@ import pytest
 from prenet import engine
 from prenet.dataset import LabeledDataset, WeakSupervisionSplit, build_weak_supervision
 from prenet.engine import (
+    Scorer,
     TrainConfig,
     draw_partner_indices,
+    load_checkpoint,
     read_scores_csv,
+    save_checkpoint,
     score_dataset,
     score_with_partners,
     train,
@@ -201,21 +204,14 @@ class TestScoring:
         assert np.array_equal(s1, s2)
 
     def test_scoring_survives_checkpoint_round_trip(self, tmp_path):
-        from prenet.model import load_checkpoint, save_checkpoint
-
         split = small_split()
         model, _ = train(split, tiny_cfg(seed=30))
         x = make_rng(31).standard_normal((9, 3))
-        pools = split.a_features, split.u_features
-        a_pos, u_pos = draw_partner_indices(
-            split.n_labeled, split.n_unlabeled, 9, 5, make_rng(32)
-        )
-        before = score_with_partners(model, x, *pools, a_pos, u_pos)
+        scorer = Scorer(model, split.a_features, split.u_features, x.mean(axis=0), x.std(axis=0))
         path = tmp_path / "ck.json"
-        save_checkpoint(path, model)
-        loaded, _ = load_checkpoint(path)
-        after = score_with_partners(loaded, x, *pools, a_pos, u_pos)
-        assert np.array_equal(before, after)
+        save_checkpoint(path, scorer)
+        after = load_checkpoint(path).score(x, 5, make_rng(32))
+        assert np.array_equal(scorer.score(x, 5, make_rng(32)), after)
 
     def test_both_streams_share_one_feature_stack(self):
         split = small_split()

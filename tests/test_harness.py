@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from prenet import harness
-from prenet.dataset import build_weak_supervision, stratified_split
+from prenet import engine, harness
+from prenet.dataset import build_weak_supervision, standardize_split, stratified_split
 from prenet.harness import (
     ExperimentSpec,
     SyntheticSpec,
@@ -156,7 +156,7 @@ class TestAblationSuite:
             v: run_single(ds, dataclasses.replace(spec, variant=v), spec.base_seed)
             for v in ("prenet", "ldm", "osnet")
         }
-        labels = [o.test_labels for o in outs.values()]
+        labels = [o.labels for o in outs.values()]
         for lab in labels[1:]:
             assert np.array_equal(lab, labels[0])
 
@@ -294,11 +294,31 @@ def test_grid_checks_every_value_before_the_first_run(monkeypatch):
         run_grid(fast_spec(n_runs=1), "contamination", [0.0, 0.02, 0.6])
 
 
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("variant", ["prenet", "osnet", "a2h"])
+def test_run_single_scores_equal_the_split_path(variant, standardize):
+    # the scoring set-up of the benchmark: the test rows ride on the split
+    spec = fast_spec(variant=variant, standardize=standardize)
+    ds, seed = load_source(spec), 11
+    rng = make_rng(seed)
+    train_ds, test_ds = stratified_split(ds, spec.train_fraction, rng)
+    split = build_weak_supervision(
+        train_ds, spec.n_labeled, spec.contamination, rng, test=test_ds, seed=seed
+    )
+    if standardize:
+        split, _, _ = standardize_split(split)
+    model, _ = engine.train(split, harness.train_config_for(spec, ds.dim, seed), rng=rng)
+    expect = engine.score_dataset(model, split.test_features, split, spec.ensemble_size, rng)
+    out = run_single(ds, spec, seed)
+    assert out.scores.tobytes() == expect.tobytes()
+    assert np.array_equal(out.labels, split.test_labels)
+
+
 def test_run_output_carries_artifacts():
     spec = fast_spec(n_runs=1)
     ds = load_source(spec)
     out = run_single(ds, spec, 10)
-    assert out.scores.shape[0] == out.test_labels.shape[0]
+    assert out.scores.shape[0] == out.labels.shape[0]
     assert len(out.train_report.objective_trace) == 6
     assert np.isfinite(out.model.params.vector).all()
     assert dataclasses.is_dataclass(out.metrics)

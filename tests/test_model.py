@@ -6,6 +6,7 @@ import pytest
 
 import prenet.model as model_module
 from prenet.dataset import WeakSupervisionSplit
+from prenet.engine import Scorer, load_checkpoint, save_checkpoint
 from prenet.errors import NumericError
 from prenet.model import (
     Model,
@@ -17,10 +18,8 @@ from prenet.model import (
     build_variant,
     features,
     forward,
-    load_checkpoint,
     objective_and_gradients,
     rmsprop_step,
-    save_checkpoint,
 )
 from prenet.ndcore import finite_diff_grad, make_rng
 from prenet.pairgen import (
@@ -510,21 +509,37 @@ class TestCheckpoint:
         a_pool = rng.standard_normal((3, 5))
         u_pool = rng.standard_normal((9, 5))
         path = tmp_path / "m.json"
-        save_checkpoint(path, model, mean, scale, a_pool, u_pool)
-        back, extras = load_checkpoint(path)
-        assert back.config == model.config
-        assert np.array_equal(back.params.vector, model.params.vector)
-        assert np.array_equal(extras["mean"], mean)
-        assert np.array_equal(extras["scale"], scale)
-        assert np.array_equal(extras["anomaly_pool"], a_pool)
-        assert np.array_equal(extras["unlabeled_pool"], u_pool)
+        save_checkpoint(path, Scorer(model, a_pool, u_pool, mean, scale))
+        back = load_checkpoint(path)
+        assert back.model.config == model.config
+        assert np.array_equal(back.model.params.vector, model.params.vector)
+        assert np.array_equal(back.mean, mean)
+        assert np.array_equal(back.scale, scale)
+        assert np.array_equal(back.anomaly_pool, a_pool)
+        assert np.array_equal(back.unlabeled_pool, u_pool)
 
     def test_repeated_saves_byte_identical(self, tmp_path):
-        model = build_variant(ModelConfig("prenet", 4), make_rng(1))
+        rng = make_rng(1)
+        model = build_variant(ModelConfig("prenet", 4), rng)
+        scorer = Scorer(model, rng.standard_normal((2, 4)), rng.standard_normal((5, 4)))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(p1, model)
-        save_checkpoint(p2, model)
+        save_checkpoint(p1, scorer)
+        save_checkpoint(p2, scorer)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_stream_scorer_round_trips_without_pools(self, tmp_path):
+        model = build_variant(ModelConfig("osnet", 4), make_rng(2))
+        path = tmp_path / "m.json"
+        save_checkpoint(path, Scorer(model))
+        back = load_checkpoint(path)
+        assert np.array_equal(back.model.params.vector, model.params.vector)
+        assert back.anomaly_pool is back.unlabeled_pool is back.mean is back.scale is None
+
+    def test_pairwise_scorer_needs_both_pools(self):
+        model = build_variant(ModelConfig("prenet", 4), make_rng(3))
+        for pools in [(), (np.ones((2, 4)),), (None, np.ones((2, 4)))]:
+            with pytest.raises(ValueError, match="needs both partner pools"):
+                Scorer(model, *pools)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
