@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -34,7 +34,6 @@ from .harness import (
     parse_spec_file,
     run_experiment,
     run_grid,
-    train_report_json,
 )
 from .metrics import evaluate
 from .model import VARIANTS
@@ -167,7 +166,7 @@ def cmd_train(args) -> int:
     ds = load_source(spec)
     scorer, report = fit(ds, spec, spec.base_seed, make_rng(spec.base_seed))
     save_checkpoint(args.output, scorer)
-    _write_json(args.report or f"{args.output}.train.json", train_report_json(report))
+    _write_json(args.report or f"{args.output}.train.json", asdict(report))
     means = report.epoch_means()
     print(
         f"trained {spec.variant} on {ds.n} rows: epoch objective "

@@ -111,7 +111,7 @@ def load_feature_csv(
     must be as wide as the header, and every column but the label column
     (optional, at any position) must hold finite numbers, or
     :class:`SchemaError` is raised. Returns ``(features, labels_or_None,
-    feature_names)``, the labels mapped by :func:`binary_labels`.
+    feature_names)``, the labels mapped by :func:`_binary_labels`.
     """
     with open(path, newline="") as fh:
         reader = _records(fh, path)
@@ -161,7 +161,7 @@ def load_feature_csv(
             f"{path}: non-finite value {float(features[row, col])!r} in data row {row + 1}, "
             f"column {feature_names[col]!r}"
         )
-    labels = None if label_pos is None else binary_labels(raw_labels, anomaly_value)
+    labels = None if label_pos is None else _binary_labels(raw_labels, anomaly_value)
     return features, labels, feature_names
 
 
@@ -189,7 +189,7 @@ def _not_binary(raw: str) -> SchemaError:
     return SchemaError(f"label value {raw!r} is not 0/1; pass an explicit anomaly value")
 
 
-def binary_labels(raw_labels: Sequence[str], anomaly_value: str | None = None) -> np.ndarray:
+def _binary_labels(raw_labels: Sequence[str], anomaly_value: str | None = None) -> np.ndarray:
     """Map the raw cells of a label column to 1 (anomaly) / 0 (normal).
 
     Without ``anomaly_value`` the column must hold only values
@@ -274,8 +274,6 @@ def build_weak_supervision(
     contamination_rate: float,
     rng: np.random.Generator,
     test: LabeledDataset | None = None,
-    anomaly_types: Sequence | None = None,
-    known_types: set | None = None,
     seed: int | None = None,
 ) -> WeakSupervisionSplit:
     """Assemble the weak-supervision world from training data.
@@ -283,9 +281,7 @@ def build_weak_supervision(
     U receives every normal training instance plus m randomly chosen
     anomalies, where m solves m / (n_normal + m) = contamination_rate;
     A receives ``n_labeled`` further anomalies, disjoint from the
-    injected ones. Anomalies left over are discarded. When
-    ``anomaly_types``/``known_types`` are given, only anomalies of a
-    known type are eligible for A and for injection.
+    injected ones. Anomalies left over are discarded.
     """
     if n_labeled < 2:
         raise ValueError(f"n_labeled must be >= 2, got {n_labeled}")
@@ -295,14 +291,6 @@ def build_weak_supervision(
         )
     normal_idx = np.flatnonzero(train.labels == 0)
     anom_idx = np.flatnonzero(train.labels == 1)
-    if anomaly_types is not None:
-        if known_types is None:
-            raise ValueError("known_types required when anomaly_types is given")
-        types = np.asarray(anomaly_types)
-        if types.shape[0] != train.n:
-            raise ValueError("anomaly_types length does not match dataset")
-        keep = np.isin(types[anom_idx], list(known_types))
-        anom_idx = anom_idx[keep]
     n_normal = normal_idx.size
     if n_normal < 2:
         raise DataError(f"need at least 2 normal instances, got {n_normal}")

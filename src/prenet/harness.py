@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -216,11 +216,6 @@ def run_grid(
         raise ValueError(f"{field} values must be distinct, got {values}")
     specs = {v: replace(spec, **{field: v}) for v in values}
     return {v: run_experiment(s, jobs=jobs) for v, s in specs.items()}
-
-
-def train_report_json(report: TrainReport) -> dict:
-    """Machine-readable training report: every field of the report."""
-    return asdict(report)
 
 
 def experiment_report_json(

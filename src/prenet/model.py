@@ -41,7 +41,7 @@ RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-7
 
 
-def default_hidden_dims(variant: str) -> tuple[int, ...]:
+def _default_hidden_dims(variant: str) -> tuple[int, ...]:
     return {"prenet": (20,), "bor": (20,), "osnet": (20,), "ldm": (), "a2h": (20, 20, 20)}[
         variant
     ]
@@ -62,9 +62,9 @@ class ModelConfig:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         dims = self.hidden_dims
         if dims is None:
-            dims = default_hidden_dims(self.variant)
+            dims = _default_hidden_dims(self.variant)
         dims = tuple(int(d) for d in dims)
-        expected = len(default_hidden_dims(self.variant))
+        expected = len(_default_hidden_dims(self.variant))
         if len(dims) != expected:
             raise ValueError(
                 f"variant {self.variant!r} requires exactly {expected} hidden "

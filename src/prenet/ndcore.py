@@ -1,6 +1,5 @@
 """Dense numerical kernel: deterministic matrix product, activation,
-weight initialization, seeded RNG construction, and a finite-difference
-gradient oracle used to validate analytic gradients.
+weight initialization and seeded RNG construction.
 
 All public operations work on 64-bit float arrays ("matrices" are 2-D,
 C-contiguous, row-major) and are bit-reproducible.
@@ -23,11 +22,7 @@ Reductions of undefined order (``np.add.reduce``, ``einsum``,
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-from .errors import NumericError
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -40,7 +35,7 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
+def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce ``x`` to a 2-D float64 C-order array, validating rank."""
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -79,8 +74,8 @@ def matmul(a, b) -> np.ndarray:
     products do not guarantee this ordering and are deliberately not
     used. The kernel is chosen from the shapes only.
     """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
+    a = _as_matrix(a, "left operand")
+    b = _as_matrix(b, "right operand")
     if a.shape[1] != b.shape[0]:
         raise ValueError(
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ "
@@ -161,31 +156,3 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
         raise ValueError(f"fan_in and fan_out must be >= 1, got ({fan_in}, {fan_out})")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], theta, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    Returns ``(f(theta + h*e_i) - f(theta - h*e_i)) / (2h)`` per
-    coordinate. Used as the independent oracle against analytic
-    gradients; never used in training itself.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    grad = np.empty_like(theta)
-    probe = theta.copy()
-    for i in range(theta.size):
-        probe[i] = theta[i] + h
-        up = float(f(probe))
-        probe[i] = theta[i] - h
-        down = float(f(probe))
-        probe[i] = theta[i]
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericError(
-                f"non-finite function value while probing coordinate {i}"
-            )
-        grad[i] = (up - down) / (2.0 * h)
-    return grad

@@ -35,7 +35,7 @@ from prenet.model import (
     forward,
     objective_and_gradients,
 )
-from prenet.ndcore import finite_diff_grad, make_rng
+from prenet.ndcore import make_rng
 from prenet.pairgen import (
     Batch,
     PairClass,
@@ -43,6 +43,8 @@ from prenet.pairgen import (
     mislabel_fraction,
     sample_pair_batch,
 )
+
+from oracles import finite_diff_grad
 
 PRENET = ModelConfig("prenet", 4)
 

@@ -312,29 +312,6 @@ class TestBuildWeakSupervision:
         test_keys = {row.tobytes() for row in split.test_features}
         assert not store_keys & test_keys
 
-    def test_known_type_filter(self):
-        ds = toy_dataset(100, 40)
-        # anomaly rows carry types; only type "x" may enter A or U
-        types = np.array([""] * 100 + ["x"] * 25 + ["y"] * 15)
-        split = build_weak_supervision(
-            ds, 10, 0.05, make_rng(2), anomaly_types=types, known_types={"x"}
-        )
-        # all anomalies placed anywhere must come from the 25 "x" rows
-        n_placed = split.true_labels.sum()
-        assert n_placed <= 25
-        x_rows = ds.features[100:125]
-        placed = split.features[split.true_labels == 1]
-        for row in placed:
-            assert any(np.array_equal(row, xr) for xr in x_rows)
-
-    def test_known_type_capacity(self):
-        ds = toy_dataset(100, 40)
-        types = np.array([""] * 100 + ["x"] * 5 + ["y"] * 35)
-        with pytest.raises(CapacityError):
-            build_weak_supervision(
-                ds, 10, 0.0, make_rng(2), anomaly_types=types, known_types={"x"}
-            )
-
 
 def hand_split(store, test=None):
     """A split of ``store`` whose U is row 0 and whose A is the rest."""
@@ -346,6 +323,13 @@ class TestStandardize:
         out, mean, scale = standardize_split(hand_split([[5.0, 1.0], [5.0, 3.0]]))
         assert np.array_equal(out.features[:, 0], [0.0, 0.0])
         assert scale[0] == 1.0
+
+    def test_floor_divides_a_tiny_spread_and_centres_a_constant(self):
+        # a std of 1e-9 is a real spread, far above the 1e-12 floor
+        out, mean, scale = standardize_split(hand_split([[5.0, 0.0], [5.0, 2e-9]]))
+        assert scale[0] == 1.0 and np.array_equal(out.features[:, 0], [0.0, 0.0])
+        assert scale[1] == np.std([0.0, 2e-9])
+        assert np.allclose(out.features[:, 1], [-1.0, 1.0], rtol=1e-12, atol=0.0)
 
     def test_two_point_column(self):
         out, mean, scale = standardize_split(hand_split([[0.0], [2.0]]))

@@ -21,7 +21,7 @@ from prenet.model import (
     objective_and_gradients,
     rmsprop_step,
 )
-from prenet.ndcore import finite_diff_grad, make_rng
+from prenet.ndcore import make_rng
 from prenet.pairgen import (
     Batch,
     OrdinalLabels,
@@ -29,6 +29,8 @@ from prenet.pairgen import (
     sample_instance_batch,
     sample_pair_batch,
 )
+
+from oracles import finite_diff_grad
 
 # Target of a slot by how many of its members come from A, per variant,
 # for labels 9,5,1 (none of them a default, so a hard-coded 8/4/0 fails)
